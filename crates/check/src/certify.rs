@@ -1,29 +1,36 @@
-//! Replication-aware trace certification over `esr-obs` EventRing
+//! Replication-aware trace certification over daemon event-ring
 //! dumps.
 //!
-//! A live esrd site records its protocol decisions as structured
-//! events (the `Effect::Trace` grammar of `esr_runtime::ctrl`); this
-//! module replays a set of per-site dumps against the per-method
-//! visibility and convergence specs, turning any chaos or proc-cluster
-//! run into a *checked* execution. The spec style follows Enea et
-//! al.'s replication-aware linearizability — per-replica causal
+//! A live esrd site records its protocol decisions as typed
+//! [`Event`]s in one bounded ring (`esr_runtime::spans::SpanRing`);
+//! the model checker keeps the same records per modelled incarnation.
+//! This module replays a set of per-site dumps against the per-method
+//! visibility and convergence specs, turning any chaos, proc-cluster or
+//! model run into a *checked* execution. The spec style follows Enea
+//! et al.'s replication-aware linearizability — per-replica causal
 //! histories checked against the method's visibility contract — and
 //! Perrin et al.'s update consistency for the cross-site agreement
 //! checks.
 //!
-//! ## Event grammar (component → message)
+//! ## Event vocabulary
 //!
-//! * `apply` / `replay` — `et N applied[ v=T][ seq=S]` or
-//!   `et N held/duplicate`
-//! * `control` — `complete et N` | `vtnc -> time T` | `commit et N` |
-//!   `abort et N`
-//! * `ckpt` — `cut covered=N` | `restore covered=N view=V` |
-//!   `install seq=N covered=K` | `truncate through=C retired=R`
-//! * anything else (`boot`, `peer`) is ignored.
+//! The certifier matches on the records and reads only these:
+//!
+//! * site-level spans — [`SpanStage::Apply`] / [`SpanStage::Replay`]
+//!   (ET, version time, ORDUP sequence), [`SpanStage::Complete`],
+//!   [`SpanStage::Vtnc`] (the horizon's time) and
+//!   [`SpanStage::Decision`] (commit or abort);
+//! * the checkpoint chain — [`Event::CkptCut`], [`Event::CkptRestore`],
+//!   [`Event::CkptInstall`], [`Event::CkptTruncate`].
+//!
+//! Everything else is ignored: the coordinator-only `*Cert` stages
+//! (certification moments, not site observations), the submit,
+//! enqueue, deliver and hold-back hops, and the boot, catch-up, view,
+//! peer and client events.
 //!
 //! A dump covers one *incarnation*: the ring dies with the process,
-//! and a recovered site re-records its journal replays (`replay`
-//! events) and snapshot-replayed control traffic at boot, so the
+//! and a recovered site re-records its journal replays (`Replay`
+//! spans) and snapshot-replayed control traffic at boot, so the
 //! causal prefix a check needs is present after restarts too.
 //!
 //! ## Checks
@@ -70,16 +77,19 @@
 //! Ring overflow (`dropped > 0`) downgrades gracefully: history-prefix
 //! checks that would false-positive on an evicted prefix are skipped
 //! for that site, and cross-site checks are skipped entirely. An
-//! incarnation that booted from a snapshot (`ckpt restore ...`)
+//! incarnation that booted from a snapshot ([`Event::CkptRestore`])
 //! downgrades the same way: the checkpoint compresses the covered
 //! prefix out of the trace, so per-ET apply evidence for it is
 //! legitimately absent.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use esr_core::ids::{EtId, SeqNo};
+use esr_replica::span::{Event, SpanRec, SpanStage};
+use esr_runtime::spans::RawSpan;
 use esr_runtime::state::RtMethod;
 
-/// One site's EventRing dump, in ring-sequence (per-site causal)
+/// One site's event-ring dump, in ring-sequence (per-site causal)
 /// order.
 #[derive(Debug, Clone)]
 pub struct SiteTrace {
@@ -87,20 +97,19 @@ pub struct SiteTrace {
     pub site: u64,
     /// Events evicted by the bounded ring before the dump.
     pub dropped: u64,
-    /// `(component, message)` pairs in seq order.
-    pub events: Vec<(String, String)>,
+    /// The retained events in seq order.
+    pub events: Vec<Event>,
 }
 
 impl SiteTrace {
-    /// Builds a trace from a raw `Frame::TraceOk` dump
-    /// (`(seq, micros, component, message)` tuples), restoring seq
-    /// order.
-    pub fn from_dump(site: u64, dropped: u64, mut dump: Vec<(u64, u64, String, String)>) -> Self {
+    /// Builds a trace from a whole-ring dump (`Frame::SpanOk` for
+    /// `SPAN_QUERY_ALL`), restoring seq order.
+    pub fn from_dump(site: u64, dropped: u64, mut dump: Vec<RawSpan>) -> Self {
         dump.sort_by_key(|e| e.0);
         Self {
             site,
             dropped,
-            events: dump.into_iter().map(|(_, _, c, m)| (c, m)).collect(),
+            events: dump.into_iter().map(|(_, _, ev)| ev).collect(),
         }
     }
 }
@@ -116,94 +125,13 @@ pub struct CertFinding {
     pub detail: String,
 }
 
-/// A parsed protocol event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ev {
-    Applied { et: u64, v: Option<u64>, seq: Option<u64> },
-    Held,
-    Complete { et: u64 },
-    Vtnc { t: u64 },
-    Decision { et: u64, commit: bool },
-    CkptCut { covered: u64 },
-    CkptRestore { covered: u64 },
-    CkptInstall { seq: u64, covered: u64 },
-    CkptTruncate { through: u64 },
-}
-
-/// Pulls `key=<u64>` out of a whitespace-separated tail.
-fn field(tail: &str, key: &str) -> Option<u64> {
-    tail.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.parse().ok())
-}
-
-fn parse_event(component: &str, message: &str) -> Option<Ev> {
-    match component {
-        "apply" | "replay" => {
-            let rest = message.strip_prefix("et ")?;
-            let (et_str, tail) = rest.split_once(' ')?;
-            let et = et_str.parse().ok()?;
-            if tail.starts_with("held/duplicate") {
-                return Some(Ev::Held);
-            }
-            if !tail.starts_with("applied") {
-                return None;
-            }
-            let mut v = None;
-            let mut seq = None;
-            for tok in tail.split_whitespace().skip(1) {
-                if let Some(t) = tok.strip_prefix("v=") {
-                    v = t.parse().ok();
-                } else if let Some(s) = tok.strip_prefix("seq=") {
-                    seq = s.parse().ok();
-                }
-            }
-            Some(Ev::Applied { et, v, seq })
-        }
-        "control" => {
-            if let Some(rest) = message.strip_prefix("complete et ") {
-                return Some(Ev::Complete { et: rest.parse().ok()? });
-            }
-            if let Some(rest) = message.strip_prefix("vtnc -> time ") {
-                return Some(Ev::Vtnc { t: rest.parse().ok()? });
-            }
-            if let Some(rest) = message.strip_prefix("commit et ") {
-                return Some(Ev::Decision { et: rest.parse().ok()?, commit: true });
-            }
-            if let Some(rest) = message.strip_prefix("abort et ") {
-                return Some(Ev::Decision { et: rest.parse().ok()?, commit: false });
-            }
-            None
-        }
-        "ckpt" => {
-            if let Some(tail) = message.strip_prefix("cut ") {
-                return Some(Ev::CkptCut { covered: field(tail, "covered=")? });
-            }
-            if let Some(tail) = message.strip_prefix("restore ") {
-                return Some(Ev::CkptRestore { covered: field(tail, "covered=")? });
-            }
-            if let Some(tail) = message.strip_prefix("install ") {
-                return Some(Ev::CkptInstall {
-                    seq: field(tail, "seq=")?,
-                    covered: field(tail, "covered=")?,
-                });
-            }
-            if let Some(tail) = message.strip_prefix("truncate ") {
-                return Some(Ev::CkptTruncate { through: field(tail, "through=")? });
-            }
-            // `catch-up: ...` and failure notes carry no invariant.
-            None
-        }
-        _ => None,
-    }
-}
-
 /// Per-site digest accumulated while replaying a trace.
 #[derive(Debug, Default)]
 struct SiteDigest {
-    applied: BTreeSet<u64>,
-    completed: BTreeSet<u64>,
-    committed: BTreeSet<u64>,
-    aborted: BTreeSet<u64>,
+    applied: BTreeSet<EtId>,
+    completed: BTreeSet<EtId>,
+    committed: BTreeSet<EtId>,
+    aborted: BTreeSet<EtId>,
 }
 
 /// Certifies a set of quiescent-site dumps against `method`'s spec.
@@ -220,34 +148,37 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
         let restored = trace
             .events
             .iter()
-            .any(|(c, m)| matches!(parse_event(c, m), Some(Ev::CkptRestore { .. })));
+            .any(|ev| matches!(ev, Event::CkptRestore { .. }));
         any_restore |= restored;
         let lossless = trace.dropped == 0 && !restored;
         let mut max_installed: Option<u64> = None;
         let mut vtnc_last: Option<u64> = None;
-        let mut last_seq: Option<u64> = None;
+        let mut last_seq: Option<SeqNo> = None;
         let mut ckpt_seq_last: Option<u64> = None;
         let mut ckpt_covered_last: Option<u64> = None;
         let mut ckpt_install_covered_last: Option<u64> = None;
         let mut ckpt_truncate_last: Option<u64> = None;
         let mut ckpt_chain_started = false;
-        for (component, message) in &trace.events {
-            let Some(ev) = parse_event(component, message) else {
-                continue;
-            };
-            match ev {
-                Ev::Applied { et, v, seq } => {
+        for ev in &trace.events {
+            match *ev {
+                Event::Span(SpanRec {
+                    stage: SpanStage::Apply | SpanStage::Replay,
+                    et: Some(et),
+                    version,
+                    gseq,
+                    ..
+                }) => {
                     if !d.applied.insert(et) {
                         findings.push(CertFinding {
                             site: Some(trace.site),
                             check: "no-double-apply",
-                            detail: format!("et {et} effectively applied twice"),
+                            detail: format!("{et} effectively applied twice"),
                         });
                     }
-                    if let Some(t) = v {
+                    if let Some(t) = version.map(|v| v.time) {
                         max_installed = Some(max_installed.map_or(t, |m| m.max(t)));
                     }
-                    if let Some(s) = seq {
+                    if let Some(s) = gseq {
                         if last_seq.is_some_and(|p| p >= s) {
                             findings.push(CertFinding {
                                 site: Some(trace.site),
@@ -261,28 +192,32 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                         last_seq = Some(s);
                     }
                 }
-                Ev::Held => {}
-                Ev::Complete { et } => {
+                Event::Span(SpanRec {
+                    stage: SpanStage::Complete,
+                    et: Some(et),
+                    ..
+                }) => {
                     if !d.completed.insert(et) {
                         findings.push(CertFinding {
                             site: Some(trace.site),
                             check: "no-duplicate-complete",
-                            detail: format!(
-                                "et {et} completed twice in one incarnation"
-                            ),
+                            detail: format!("{et} completed twice in one incarnation"),
                         });
                     }
                     if lossless && !d.applied.contains(&et) {
                         findings.push(CertFinding {
                             site: Some(trace.site),
                             check: "apply-before-complete",
-                            detail: format!(
-                                "completion of et {et} arrived before its apply"
-                            ),
+                            detail: format!("completion of {et} arrived before its apply"),
                         });
                     }
                 }
-                Ev::Vtnc { t } => {
+                Event::Span(SpanRec {
+                    stage: SpanStage::Vtnc,
+                    version: Some(horizon),
+                    ..
+                }) => {
+                    let t = horizon.time;
                     if vtnc_last.is_some_and(|p| p > t) {
                         findings.push(CertFinding {
                             site: Some(trace.site),
@@ -301,14 +236,19 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                         });
                     }
                 }
-                Ev::Decision { et, commit } => {
+                Event::Span(SpanRec {
+                    stage: SpanStage::Decision,
+                    et: Some(et),
+                    commit: Some(commit),
+                    ..
+                }) => {
                     if commit {
                         d.committed.insert(et);
                     } else {
                         d.aborted.insert(et);
                     }
                 }
-                Ev::CkptCut { covered } => {
+                Event::CkptCut { covered } => {
                     ckpt_chain_started = true;
                     if ckpt_covered_last.is_some_and(|p| p > covered) {
                         findings.push(CertFinding {
@@ -326,7 +266,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                 // covered monotonicity is judged install-against-install
                 // (seeded by the restore base), never against the cut
                 // chain.
-                Ev::CkptInstall { seq, covered } => {
+                Event::CkptInstall { seq, covered } => {
                     ckpt_chain_started = true;
                     if ckpt_install_covered_last.is_some_and(|p| p > covered) {
                         findings.push(CertFinding {
@@ -350,7 +290,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                     }
                     ckpt_seq_last = Some(seq);
                 }
-                Ev::CkptRestore { covered } => {
+                Event::CkptRestore { covered, .. } => {
                     if ckpt_chain_started {
                         findings.push(CertFinding {
                             site: Some(trace.site),
@@ -373,7 +313,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                     ckpt_covered_last = Some(covered);
                     ckpt_install_covered_last = Some(covered);
                 }
-                Ev::CkptTruncate { through } => {
+                Event::CkptTruncate { through, .. } => {
                     if ckpt_truncate_last.is_some_and(|p| p > through) {
                         findings.push(CertFinding {
                             site: Some(trace.site),
@@ -385,13 +325,14 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                     }
                     ckpt_truncate_last = Some(through);
                 }
+                _ => {}
             }
         }
         if let Some(et) = d.committed.intersection(&d.aborted).next() {
             findings.push(CertFinding {
                 site: Some(trace.site),
                 check: "decision-conflict",
-                detail: format!("et {et} both committed and aborted"),
+                detail: format!("{et} both committed and aborted"),
             });
         }
         digests.push(d);
@@ -419,7 +360,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
             );
         }
         if method == RtMethod::Compe {
-            let mut outcome: BTreeMap<u64, bool> = BTreeMap::new();
+            let mut outcome: BTreeMap<EtId, bool> = BTreeMap::new();
             for (trace, d) in traces.iter().zip(&digests) {
                 for (&et, commit) in d
                     .committed
@@ -431,7 +372,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                         findings.push(CertFinding {
                             site: Some(trace.site),
                             check: "outcome-agreement",
-                            detail: format!("et {et} outcome disagrees across sites"),
+                            detail: format!("{et} outcome disagrees across sites"),
                         });
                     }
                 }
@@ -447,7 +388,7 @@ fn agree(
     traces: &[SiteTrace],
     digests: &[SiteDigest],
     check: &'static str,
-    set: impl Fn(&SiteDigest) -> &BTreeSet<u64>,
+    set: impl Fn(&SiteDigest) -> &BTreeSet<EtId>,
 ) {
     let first = set(&digests[0]);
     for (trace, d) in traces.iter().zip(digests).skip(1) {
@@ -470,135 +411,186 @@ fn agree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esr_core::ids::{ClientId, SiteId, VersionTs};
 
-    fn ev(c: &str, m: &str) -> (String, String) {
-        (c.to_string(), m.to_string())
+    fn at(stage: SpanStage, et: u64) -> Event {
+        SpanRec::new(stage, EtId(et)).into()
     }
 
-    fn site(site: u64, events: Vec<(String, String)>) -> SiteTrace {
-        SiteTrace { site, dropped: 0, events }
+    fn apply(et: u64) -> Event {
+        at(SpanStage::Apply, et)
+    }
+
+    fn apply_v(et: u64, time: u64) -> Event {
+        SpanRec::new(SpanStage::Apply, EtId(et))
+            .with_version(Some(VersionTs::new(time, ClientId(0))))
+            .into()
+    }
+
+    fn apply_seq(et: u64, seq: u64) -> Event {
+        SpanRec::new(SpanStage::Apply, EtId(et))
+            .with_gseq(Some(SeqNo(seq)))
+            .into()
+    }
+
+    fn complete(et: u64) -> Event {
+        at(SpanStage::Complete, et)
+    }
+
+    fn vtnc(time: u64) -> Event {
+        SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(time, ClientId(0))).into()
+    }
+
+    fn decision(et: u64, commit: bool) -> Event {
+        SpanRec::new(SpanStage::Decision, EtId(et))
+            .with_commit(commit)
+            .into()
+    }
+
+    fn site(site: u64, events: Vec<Event>) -> SiteTrace {
+        SiteTrace {
+            site,
+            dropped: 0,
+            events,
+        }
+    }
+
+    fn fires(method: RtMethod, traces: &[SiteTrace], check: &str) -> bool {
+        certify(method, traces).iter().any(|f| f.check == check)
     }
 
     #[test]
     fn clean_commu_run_certifies() {
         let traces = vec![
-            site(0, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
-            site(1, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
+            site(0, vec![apply(1), complete(1)]),
+            site(1, vec![apply(1), complete(1)]),
         ];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
 
     #[test]
+    fn from_dump_restores_ring_order() {
+        let t = SiteTrace::from_dump(3, 0, vec![(1, 20, complete(1)), (0, 10, apply(1))]);
+        assert_eq!(t.events, vec![apply(1), complete(1)]);
+        assert!(certify(RtMethod::Commu, &[t]).is_empty());
+    }
+
+    #[test]
     fn complete_before_apply_is_flagged() {
-        let traces = vec![site(
-            1,
-            vec![ev("control", "complete et 1"), ev("apply", "et 1 applied")],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "apply-before-complete"));
+        let traces = vec![site(1, vec![complete(1), apply(1)])];
+        assert!(fires(RtMethod::Commu, &traces, "apply-before-complete"));
     }
 
     #[test]
     fn duplicate_complete_in_one_incarnation_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("apply", "et 1 applied"),
-                ev("control", "complete et 1"),
-                ev("control", "complete et 1"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "no-duplicate-complete"));
+        let traces = vec![site(0, vec![apply(1), complete(1), complete(1)])];
+        assert!(fires(RtMethod::Commu, &traces, "no-duplicate-complete"));
     }
 
     #[test]
     fn view_and_client_events_are_ignored() {
+        // Coordinator certificates, the other per-ET hops and every
+        // site event carry no certifier clause — even a `CompleteCert`
+        // ahead of the apply, or a second `VtncCert`, is not a finding.
         let traces = vec![site(
             0,
             vec![
-                ev("view", "install view 1, coordinator site 1"),
-                ev("client", "duplicate submit client 7 seq 1 -> et 1"),
-                ev("apply", "et 1 applied"),
-                ev("control", "complete et 1"),
+                Event::Boot {
+                    epoch: 1,
+                    view: 0,
+                    replayed: 0,
+                    snapshot: None,
+                },
+                Event::Hello {
+                    site: SiteId(1),
+                    epoch: 1,
+                },
+                Event::ViewChange { view: 1 },
+                Event::ViewInstall {
+                    view: 1,
+                    coordinator: SiteId(1),
+                },
+                Event::DuplicateSubmit {
+                    client: ClientId(7),
+                    seq: 1,
+                    et: EtId(1),
+                },
+                at(SpanStage::CompleteCert, 1),
+                at(SpanStage::Submit, 1),
+                at(SpanStage::Deliver, 1),
+                at(SpanStage::Held, 1),
+                apply(1),
+                at(SpanStage::CompleteCert, 1),
+                complete(1),
+                at(SpanStage::DecisionCert, 1),
             ],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
+        let cert = SpanRec::vtnc(SpanStage::VtncCert, VersionTs::new(5, ClientId(0)));
+        let traces = vec![site(0, vec![cert.into(), cert.into()])];
+        assert!(certify(RtMethod::RituMv, &traces).is_empty());
     }
 
     #[test]
     fn vtnc_ahead_of_install_is_flagged() {
-        let traces = vec![site(
-            2,
-            vec![ev("control", "vtnc -> time 2"), ev("apply", "et 1 applied v=2")],
-        )];
-        let f = certify(RtMethod::RituMv, &traces);
-        assert!(f.iter().any(|f| f.check == "vtnc-visibility"));
+        let traces = vec![site(2, vec![vtnc(2), apply_v(1, 2)])];
+        assert!(fires(RtMethod::RituMv, &traces, "vtnc-visibility"));
     }
 
     #[test]
     fn vtnc_regression_is_flagged() {
-        let traces = vec![site(
-            2,
-            vec![
-                ev("apply", "et 1 applied v=2"),
-                ev("control", "vtnc -> time 2"),
-                ev("control", "vtnc -> time 1"),
-            ],
-        )];
-        let f = certify(RtMethod::RituMv, &traces);
-        assert!(f.iter().any(|f| f.check == "vtnc-monotone"));
+        let traces = vec![site(2, vec![apply_v(1, 2), vtnc(2), vtnc(1)])];
+        assert!(fires(RtMethod::RituMv, &traces, "vtnc-monotone"));
     }
 
     #[test]
     fn replayed_applies_satisfy_prefix_checks() {
-        // A restarted incarnation: journal replay events precede the
+        // A restarted incarnation: journal replay spans precede the
         // snapshot-replayed completion.
-        let traces = vec![site(
-            1,
-            vec![ev("replay", "et 1 applied"), ev("control", "complete et 1")],
-        )];
+        let traces = vec![site(1, vec![at(SpanStage::Replay, 1), complete(1)])];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
 
     #[test]
     fn applied_set_divergence_is_flagged() {
+        let traces = vec![site(0, vec![apply(1)]), site(1, vec![apply(1), apply(2)])];
+        assert!(fires(RtMethod::Ritu, &traces, "applied-set-agreement"));
+    }
+
+    #[test]
+    fn completed_set_divergence_is_flagged() {
         let traces = vec![
-            site(0, vec![ev("apply", "et 1 applied")]),
-            site(1, vec![ev("apply", "et 1 applied"), ev("apply", "et 2 applied")]),
+            site(0, vec![apply(1), apply(2), complete(1), complete(2)]),
+            site(1, vec![apply(1), apply(2), complete(1)]),
         ];
-        let f = certify(RtMethod::Ritu, &traces);
-        assert!(f.iter().any(|f| f.check == "applied-set-agreement"));
+        assert!(fires(RtMethod::Commu, &traces, "completed-set-agreement"));
     }
 
     #[test]
     fn double_apply_is_flagged() {
-        let traces = vec![site(1, vec![ev("apply", "et 1 applied"), ev("apply", "et 1 applied")])];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "no-double-apply"));
+        let traces = vec![site(1, vec![apply(1), at(SpanStage::Replay, 1)])];
+        assert!(fires(RtMethod::Commu, &traces, "no-double-apply"));
     }
 
     #[test]
     fn ordup_misorder_is_flagged() {
-        let traces = vec![site(
-            1,
-            vec![
-                ev("apply", "et 2 applied seq=1"),
-                ev("apply", "et 1 applied seq=0"),
-            ],
-        )];
-        let f = certify(RtMethod::Ordup, &traces);
-        assert!(f.iter().any(|f| f.check == "ordup-order"));
+        let traces = vec![site(1, vec![apply_seq(2, 1), apply_seq(1, 0)])];
+        assert!(fires(RtMethod::Ordup, &traces, "ordup-order"));
+    }
+
+    #[test]
+    fn decision_conflict_at_one_site_is_flagged() {
+        let traces = vec![site(0, vec![decision(1, true), decision(1, false)])];
+        assert!(fires(RtMethod::Compe, &traces, "decision-conflict"));
     }
 
     #[test]
     fn conflicting_outcomes_are_flagged() {
         let traces = vec![
-            site(0, vec![ev("control", "commit et 1")]),
-            site(1, vec![ev("control", "abort et 1")]),
+            site(0, vec![decision(1, true)]),
+            site(1, vec![decision(1, false)]),
         ];
-        let f = certify(RtMethod::Compe, &traces);
-        assert!(f.iter().any(|f| f.check == "outcome-agreement"));
+        assert!(fires(RtMethod::Compe, &traces, "outcome-agreement"));
     }
 
     #[test]
@@ -606,16 +598,29 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "restore covered=2 view=0"),
-                ev("replay", "et 3 applied"),
-                ev("apply", "et 4 applied"),
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "install seq=3 covered=4"),
-                ev("ckpt", "truncate through=1 retired=2"),
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "install seq=4 covered=4"),
-                ev("ckpt", "truncate through=3 retired=2"),
-                ev("ckpt", "catch-up: installed snapshot seq 4 (covered 4) from site 1"),
+                Event::CatchUp {
+                    from: SiteId(1),
+                    seq: 2,
+                    covered: 2,
+                },
+                Event::CkptRestore {
+                    covered: 2,
+                    view: 0,
+                },
+                at(SpanStage::Replay, 3),
+                apply(4),
+                Event::CkptCut { covered: 4 },
+                Event::CkptInstall { seq: 3, covered: 4 },
+                Event::CkptTruncate {
+                    through: 1,
+                    retired: 2,
+                },
+                Event::CkptCut { covered: 4 },
+                Event::CkptInstall { seq: 4, covered: 4 },
+                Event::CkptTruncate {
+                    through: 3,
+                    retired: 2,
+                },
             ],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
@@ -626,36 +631,40 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "install seq=5 covered=10"),
-                ev("ckpt", "install seq=5 covered=11"),
+                Event::CkptInstall {
+                    seq: 5,
+                    covered: 10,
+                },
+                Event::CkptInstall {
+                    seq: 5,
+                    covered: 11,
+                },
             ],
         )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-seq-monotone"));
+        assert!(fires(RtMethod::Commu, &traces, "ckpt-seq-monotone"));
     }
 
     #[test]
     fn ckpt_covered_regression_is_flagged() {
         let traces = vec![site(
             0,
-            vec![ev("ckpt", "cut covered=9"), ev("ckpt", "cut covered=4")],
+            vec![Event::CkptCut { covered: 9 }, Event::CkptCut { covered: 4 }],
         )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-covered-monotone"));
+        assert!(fires(RtMethod::Commu, &traces, "ckpt-covered-monotone"));
     }
 
     #[test]
     fn async_install_lagging_a_newer_cut_is_clean() {
         // The writer thread installs seq 1 (covered 4) after the byte
-        // policy has already traced a newer cut — the legitimate
+        // policy has already recorded a newer cut — the legitimate
         // interleaving of an asynchronous install under load.
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "cut covered=9"),
-                ev("ckpt", "install seq=1 covered=4"),
-                ev("ckpt", "install seq=2 covered=9"),
+                Event::CkptCut { covered: 4 },
+                Event::CkptCut { covered: 9 },
+                Event::CkptInstall { seq: 1, covered: 4 },
+                Event::CkptInstall { seq: 2, covered: 9 },
             ],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
@@ -666,12 +675,11 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "install seq=1 covered=9"),
-                ev("ckpt", "install seq=2 covered=4"),
+                Event::CkptInstall { seq: 1, covered: 9 },
+                Event::CkptInstall { seq: 2, covered: 4 },
             ],
         )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-covered-monotone"));
+        assert!(fires(RtMethod::Commu, &traces, "ckpt-covered-monotone"));
     }
 
     #[test]
@@ -679,12 +687,14 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "cut covered=3"),
-                ev("ckpt", "restore covered=3 view=0"),
+                Event::CkptCut { covered: 3 },
+                Event::CkptRestore {
+                    covered: 3,
+                    view: 0,
+                },
             ],
         )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-restore-first"));
+        assert!(fires(RtMethod::Commu, &traces, "ckpt-restore-first"));
     }
 
     #[test]
@@ -692,12 +702,17 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "truncate through=8 retired=9"),
-                ev("ckpt", "truncate through=2 retired=0"),
+                Event::CkptTruncate {
+                    through: 8,
+                    retired: 9,
+                },
+                Event::CkptTruncate {
+                    through: 2,
+                    retired: 0,
+                },
             ],
         )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-truncate-monotone"));
+        assert!(fires(RtMethod::Commu, &traces, "ckpt-truncate-monotone"));
     }
 
     #[test]
@@ -709,11 +724,14 @@ mod tests {
             site(
                 0,
                 vec![
-                    ev("ckpt", "restore covered=1 view=0"),
-                    ev("control", "complete et 1"),
+                    Event::CkptRestore {
+                        covered: 1,
+                        view: 0,
+                    },
+                    complete(1),
                 ],
             ),
-            site(1, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
+            site(1, vec![apply(1), complete(1)]),
         ];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
@@ -723,7 +741,7 @@ mod tests {
         let traces = vec![SiteTrace {
             site: 1,
             dropped: 7,
-            events: vec![ev("control", "complete et 1")],
+            events: vec![complete(1)],
         }];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }

@@ -18,9 +18,11 @@
 //!   bundles threaded through the five replica-site implementations and
 //!   the TCP link manager. Both are no-ops when detached (`Default`),
 //!   so uninstrumented paths pay one branch.
-//! * [`EventRing`] — a bounded in-memory ring of causally ordered
-//!   structured trace events (the daemon's flight recorder), dumpable
-//!   over the wire via `esrctl trace`.
+//!
+//! Events are not kept here: each daemon records typed
+//! `esr_replica::span::Event`s in one bounded ring of its own
+//! (`esr_runtime::spans::SpanRing`), which `esrctl trace`,
+//! `esrctl spans` and the trace certifier all read.
 //!
 //! Zero dependencies beyond `esr-core` (for the shared
 //! [`esr_core::fastid`] hasher); no wall-clock reads anywhere — callers
@@ -29,11 +31,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod events;
 pub mod instruments;
 pub mod registry;
 
-pub use events::{EventRing, TraceEvent};
 pub use instruments::{
     CkptInstruments, GaugeFamily, LinkInstruments, ReactorInstruments, SiteInstruments,
 };

@@ -45,6 +45,6 @@ pub use ritu::{RituMvSite, RituOverwriteSite};
 pub use saga::{SagaCoordinator, SagaId, SagaState};
 pub use quorum::{QuorumCluster, QuorumReport};
 pub use site::{QueryOutcome, ReplicaSite};
-pub use span::{SpanRec, SpanStage};
+pub use span::{Event, SpanRec, SpanStage};
 pub use sync2pc::{TwoPcCluster, TwoPcReport};
 pub use wire::{decode_mset, encode_mset, WireError};

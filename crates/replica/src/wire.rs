@@ -23,7 +23,7 @@ use esr_core::value::Value;
 use crate::compe::CompeEvent;
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
-use crate::span::{SpanRec, SpanStage};
+use crate::span::{Event, SpanRec, SpanStage};
 
 /// Why a byte payload failed to decode as an MSet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,8 +349,8 @@ const FRAME_AUDIT_OK: u8 = 0x19;
 const FRAME_DECISION_OK: u8 = 0x1A;
 const FRAME_METRICS: u8 = 0x1B;
 const FRAME_METRICS_OK: u8 = 0x1C;
-const FRAME_TRACE: u8 = 0x1D;
-const FRAME_TRACE_OK: u8 = 0x1E;
+// 0x1D and 0x1E carried the retired text trace dump; they now decode
+// as unknown tags.
 const FRAME_CHECKPOINT: u8 = 0x1F;
 const FRAME_CHECKPOINT_OK: u8 = 0x20;
 const FRAME_SPAN_QUERY: u8 = 0x21;
@@ -589,17 +589,6 @@ pub enum Frame {
         /// The rendered scrape body.
         text: String,
     },
-    /// Client → daemon: dump the in-memory trace-event ring.
-    TraceDump,
-    /// Reply to [`Frame::TraceDump`]: the retained events, oldest first,
-    /// as `(seq, micros, component, message)`, plus how many older
-    /// events the bounded ring already evicted.
-    TraceOk {
-        /// Events evicted before the oldest retained one.
-        dropped: u64,
-        /// The retained events.
-        events: Vec<(u64, u64, String, String)>,
-    },
     /// Client → daemon: take a checkpoint now, regardless of the
     /// byte-interval policy.
     Checkpoint,
@@ -611,21 +600,23 @@ pub enum Frame {
         /// Journalled MSets the checkpoint covers.
         covered: u64,
     },
-    /// Client → daemon: dump the daemon's span ring, filtered to one
-    /// ET's records (`esrctl spans` scrapes every site and merges).
+    /// Client → daemon: dump the daemon's event ring, filtered to one
+    /// ET's spans (`esrctl spans` scrapes every site and merges).
     SpanQuery {
         /// Raw ET id to filter on; `u64::MAX` selects every retained
-        /// span (VTNC horizon spans, which carry no ET, always match).
+        /// event, site events included (`esrctl trace`, the trace
+        /// certifier). A per-ET query also yields the VTNC horizon
+        /// spans, which carry no ET.
         et: u64,
     },
-    /// Reply to [`Frame::SpanQuery`]: the matching retained spans,
-    /// oldest first, as `(ring_seq, micros, rec)`, plus how many older
-    /// spans the bounded ring already evicted.
+    /// Reply to [`Frame::SpanQuery`]: the matching retained events,
+    /// oldest first, as `(ring_seq, micros, event)`, plus how many
+    /// older events the bounded ring already evicted.
     SpanOk {
-        /// Spans evicted before the oldest retained one.
+        /// Events evicted before the oldest retained one.
         dropped: u64,
-        /// The matching retained spans.
-        spans: Vec<(u64, u64, SpanRec)>,
+        /// The matching retained events.
+        spans: Vec<(u64, u64, Event)>,
     },
 }
 
@@ -716,7 +707,6 @@ fn decode_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
 }
 
 fn encode_span_rec(b: &mut BytesMut, rec: &SpanRec) {
-    b.put_u8(span_stage_tag(rec.stage));
     encode_u64_opt(b, rec.et.map(EtId::raw));
     encode_u64_opt(b, rec.peer.map(SiteId::raw));
     encode_version_opt(b, &rec.version);
@@ -731,11 +721,7 @@ fn encode_span_rec(b: &mut BytesMut, rec: &SpanRec) {
     }
 }
 
-fn decode_span_rec(b: &mut &[u8]) -> Result<SpanRec, WireError> {
-    let tag = get_u8(b)?;
-    let stage = *SPAN_STAGES
-        .get(tag as usize)
-        .ok_or(WireError::BadTag { field: "stage", tag })?;
+fn decode_span_rec(b: &mut &[u8], stage: SpanStage) -> Result<SpanRec, WireError> {
     let et = decode_u64_opt(b)?.map(EtId);
     let peer = decode_u64_opt(b)?.map(SiteId);
     let version = decode_version_opt(b)?;
@@ -754,6 +740,115 @@ fn decode_span_rec(b: &mut &[u8]) -> Result<SpanRec, WireError> {
         gseq,
         t0,
         commit,
+    })
+}
+
+// Event tags: a span record's tag is its stage's index in
+// `SPAN_STAGES` (0..12); site events follow.
+const EVENT_BOOT: u8 = 12;
+const EVENT_CATCH_UP: u8 = 13;
+const EVENT_CKPT_CUT: u8 = 14;
+const EVENT_CKPT_RESTORE: u8 = 15;
+const EVENT_CKPT_INSTALL: u8 = 16;
+const EVENT_CKPT_INSTALL_FAILED: u8 = 17;
+const EVENT_CKPT_MISMATCH: u8 = 18;
+const EVENT_CKPT_TRUNCATE: u8 = 19;
+const EVENT_VIEW_CHANGE: u8 = 20;
+const EVENT_VIEW_INSTALL: u8 = 21;
+const EVENT_HELLO: u8 = 22;
+const EVENT_DUPLICATE_SUBMIT: u8 = 23;
+
+fn encode_event(b: &mut BytesMut, ev: &Event) {
+    let (tag, words): (u8, &[u64]) = match *ev {
+        Event::Span(ref rec) => {
+            b.put_u8(span_stage_tag(rec.stage));
+            encode_span_rec(b, rec);
+            return;
+        }
+        Event::Boot {
+            epoch,
+            view,
+            replayed,
+            snapshot,
+        } => {
+            b.put_u8(EVENT_BOOT);
+            b.put_u64(epoch);
+            b.put_u64(view);
+            b.put_u64(replayed);
+            encode_u64_opt(b, snapshot);
+            return;
+        }
+        Event::CatchUp { from, seq, covered } => (EVENT_CATCH_UP, &[from.raw(), seq, covered]),
+        Event::CkptCut { covered } => (EVENT_CKPT_CUT, &[covered]),
+        Event::CkptRestore { covered, view } => (EVENT_CKPT_RESTORE, &[covered, view]),
+        Event::CkptInstall { seq, covered } => (EVENT_CKPT_INSTALL, &[seq, covered]),
+        Event::CkptInstallFailed { seq } => (EVENT_CKPT_INSTALL_FAILED, &[seq]),
+        Event::CkptMismatch { seq } => (EVENT_CKPT_MISMATCH, &[seq]),
+        Event::CkptTruncate { through, retired } => (EVENT_CKPT_TRUNCATE, &[through, retired]),
+        Event::ViewChange { view } => (EVENT_VIEW_CHANGE, &[view]),
+        Event::ViewInstall { view, coordinator } => {
+            (EVENT_VIEW_INSTALL, &[view, coordinator.raw()])
+        }
+        Event::Hello { site, epoch } => (EVENT_HELLO, &[site.raw(), epoch]),
+        Event::DuplicateSubmit { client, seq, et } => {
+            (EVENT_DUPLICATE_SUBMIT, &[client.raw(), seq, et.raw()])
+        }
+    };
+    b.put_u8(tag);
+    for w in words {
+        b.put_u64(*w);
+    }
+}
+
+fn decode_event(b: &mut &[u8]) -> Result<Event, WireError> {
+    let tag = get_u8(b)?;
+    if let Some(&stage) = SPAN_STAGES.get(tag as usize) {
+        return Ok(Event::Span(decode_span_rec(b, stage)?));
+    }
+    Ok(match tag {
+        EVENT_BOOT => Event::Boot {
+            epoch: get_u64(b)?,
+            view: get_u64(b)?,
+            replayed: get_u64(b)?,
+            snapshot: decode_u64_opt(b)?,
+        },
+        EVENT_CATCH_UP => Event::CatchUp {
+            from: SiteId(get_u64(b)?),
+            seq: get_u64(b)?,
+            covered: get_u64(b)?,
+        },
+        EVENT_CKPT_CUT => Event::CkptCut {
+            covered: get_u64(b)?,
+        },
+        EVENT_CKPT_RESTORE => Event::CkptRestore {
+            covered: get_u64(b)?,
+            view: get_u64(b)?,
+        },
+        EVENT_CKPT_INSTALL => Event::CkptInstall {
+            seq: get_u64(b)?,
+            covered: get_u64(b)?,
+        },
+        EVENT_CKPT_INSTALL_FAILED => Event::CkptInstallFailed { seq: get_u64(b)? },
+        EVENT_CKPT_MISMATCH => Event::CkptMismatch { seq: get_u64(b)? },
+        EVENT_CKPT_TRUNCATE => Event::CkptTruncate {
+            through: get_u64(b)?,
+            retired: get_u64(b)?,
+        },
+        EVENT_VIEW_CHANGE => Event::ViewChange { view: get_u64(b)? },
+        EVENT_VIEW_INSTALL => Event::ViewInstall {
+            view: get_u64(b)?,
+            coordinator: SiteId(get_u64(b)?),
+        },
+        EVENT_HELLO => Event::Hello {
+            site: SiteId(get_u64(b)?),
+            epoch: get_u64(b)?,
+        },
+        EVENT_DUPLICATE_SUBMIT => Event::DuplicateSubmit {
+            client: ClientId(get_u64(b)?),
+            seq: get_u64(b)?,
+            et: EtId(get_u64(b)?),
+        },
+        tag => return Err(WireError::BadTag { field: "event", tag }),
     })
 }
 
@@ -1013,9 +1108,6 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u8(FRAME_METRICS_OK);
             encode_text(&mut b, text);
         }
-        Frame::TraceDump => {
-            b.put_u8(FRAME_TRACE);
-        }
         Frame::Checkpoint => {
             b.put_u8(FRAME_CHECKPOINT);
         }
@@ -1023,17 +1115,6 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u8(FRAME_CHECKPOINT_OK);
             b.put_u64(*seq);
             b.put_u64(*covered);
-        }
-        Frame::TraceOk { dropped, events } => {
-            b.put_u8(FRAME_TRACE_OK);
-            b.put_u64(*dropped);
-            b.put_u32(events.len() as u32);
-            for (seq, micros, component, message) in events {
-                b.put_u64(*seq);
-                b.put_u64(*micros);
-                encode_text(&mut b, component);
-                encode_text(&mut b, message);
-            }
         }
         Frame::SpanQuery { et } => {
             b.put_u8(FRAME_SPAN_QUERY);
@@ -1043,10 +1124,10 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u8(FRAME_SPAN_OK);
             b.put_u64(*dropped);
             b.put_u32(spans.len() as u32);
-            for (seq, micros, rec) in spans {
+            for (seq, micros, ev) in spans {
                 b.put_u64(*seq);
                 b.put_u64(*micros);
-                encode_span_rec(&mut b, rec);
+                encode_event(&mut b, ev);
             }
         }
     }
@@ -1234,21 +1315,6 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
         FRAME_METRICS_OK => Frame::MetricsOk {
             text: decode_text(&mut b)?,
         },
-        FRAME_TRACE => Frame::TraceDump,
-        FRAME_TRACE_OK => {
-            let dropped = get_u64(&mut b)?;
-            // Each event is at least 24 bytes (two u64s + two counts).
-            let n = get_count(&mut b, 24)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let seq = get_u64(&mut b)?;
-                let micros = get_u64(&mut b)?;
-                let component = decode_text(&mut b)?;
-                let message = decode_text(&mut b)?;
-                events.push((seq, micros, component, message));
-            }
-            Frame::TraceOk { dropped, events }
-        }
         FRAME_CHECKPOINT => Frame::Checkpoint,
         FRAME_CHECKPOINT_OK => Frame::CheckpointOk {
             seq: get_u64(&mut b)?,
@@ -1259,14 +1325,15 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
         },
         FRAME_SPAN_OK => {
             let dropped = get_u64(&mut b)?;
-            // Each span is at least 23 bytes (two u64s + stage + six
-            // presence bytes).
+            // Each event is at least 23 bytes: two u64s + a span's tag
+            // and six presence bytes (a site event's tag and first u64
+            // are more).
             let n = get_count(&mut b, 23)?;
             let mut spans = Vec::with_capacity(n);
             for _ in 0..n {
                 let seq = get_u64(&mut b)?;
                 let micros = get_u64(&mut b)?;
-                spans.push((seq, micros, decode_span_rec(&mut b)?));
+                spans.push((seq, micros, decode_event(&mut b)?));
             }
             Frame::SpanOk { dropped, spans }
         }
@@ -1566,17 +1633,13 @@ mod tests {
                 text: "esr_msets_applied_total{site=\"0\"} 3\n".to_owned(),
             },
             Frame::MetricsOk { text: String::new() },
-            Frame::TraceDump,
-            Frame::TraceOk {
+            Frame::SpanOk {
                 dropped: 4,
-                events: vec![
-                    (5, 1_000, "apply".to_owned(), "deliver et=5".to_owned()),
-                    (6, 2_000, "rpc".to_owned(), "query admitted".to_owned()),
-                ],
-            },
-            Frame::TraceOk {
-                dropped: 0,
-                events: vec![],
+                spans: every_site_event()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, ev)| (i as u64, 1_000 + i as u64, ev))
+                    .collect(),
             },
             Frame::Submit(sample_mset().traced(1_723_000_000_000_000)),
             Frame::MSet(sample_mset().from_client(ClientId(2), 3).traced(55)),
@@ -1588,29 +1651,36 @@ mod tests {
                     (
                         7,
                         1_000,
-                        SpanRec::new(SpanStage::Submit, EtId(12)).with_t0(Some(990)),
+                        SpanRec::new(SpanStage::Submit, EtId(12))
+                            .with_t0(Some(990))
+                            .into(),
                     ),
                     (
                         8,
                         1_010,
-                        SpanRec::new(SpanStage::Enqueue, EtId(12)).to_peer(SiteId(1)),
+                        SpanRec::new(SpanStage::Enqueue, EtId(12))
+                            .to_peer(SiteId(1))
+                            .into(),
                     ),
                     (
                         9,
                         1_400,
                         SpanRec::new(SpanStage::Apply, EtId(12))
                             .with_version(Some(VersionTs::new(5, ClientId(1))))
-                            .with_gseq(Some(SeqNo(4))),
+                            .with_gseq(Some(SeqNo(4)))
+                            .into(),
                     ),
                     (
                         10,
                         1_500,
-                        SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(1))),
+                        SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(1))).into(),
                     ),
                     (
                         11,
                         1_600,
-                        SpanRec::new(SpanStage::Decision, EtId(13)).with_commit(false),
+                        SpanRec::new(SpanStage::Decision, EtId(13))
+                            .with_commit(false)
+                            .into(),
                     ),
                 ],
             },
@@ -1649,9 +1719,18 @@ mod tests {
             Frame::MetricsOk {
                 text: "esr_backlog{site=\"1\"} 2\n".to_owned(),
             },
-            Frame::TraceOk {
+            Frame::SpanOk {
                 dropped: 1,
-                events: vec![(2, 30, "apply".to_owned(), "x".to_owned())],
+                spans: vec![(
+                    2,
+                    30,
+                    Event::Boot {
+                        epoch: 1,
+                        view: 0,
+                        replayed: 2,
+                        snapshot: Some(1),
+                    },
+                )],
             },
             Frame::SnapshotChunk {
                 total_len: 5,
@@ -1673,7 +1752,9 @@ mod tests {
                 spans: vec![(
                     3,
                     77,
-                    SpanRec::new(SpanStage::Deliver, EtId(4)).with_t0(Some(70)),
+                    SpanRec::new(SpanStage::Deliver, EtId(4))
+                        .with_t0(Some(70))
+                        .into(),
                 )],
             },
         ];
@@ -1688,6 +1769,88 @@ mod tests {
             }
             assert!(decode_frame(&bytes).is_ok());
         }
+    }
+
+    /// One of every site-event variant (the wire corpus for the event
+    /// codec beyond spans).
+    fn every_site_event() -> Vec<Event> {
+        vec![
+            Event::Boot {
+                epoch: 2,
+                view: 1,
+                replayed: 5,
+                snapshot: None,
+            },
+            Event::Boot {
+                epoch: 3,
+                view: 1,
+                replayed: 1,
+                snapshot: Some(4),
+            },
+            Event::CatchUp {
+                from: SiteId(1),
+                seq: 4,
+                covered: 8,
+            },
+            Event::CkptCut { covered: 8 },
+            Event::CkptRestore {
+                covered: 8,
+                view: 1,
+            },
+            Event::CkptInstall { seq: 4, covered: 8 },
+            Event::CkptInstallFailed { seq: 5 },
+            Event::CkptMismatch { seq: 3 },
+            Event::CkptTruncate {
+                through: 6,
+                retired: 2,
+            },
+            Event::ViewChange { view: 2 },
+            Event::ViewInstall {
+                view: 2,
+                coordinator: SiteId(2),
+            },
+            Event::Hello {
+                site: SiteId(1),
+                epoch: 3,
+            },
+            Event::DuplicateSubmit {
+                client: ClientId(9),
+                seq: 3,
+                et: EtId(7),
+            },
+        ]
+    }
+
+    #[test]
+    fn retired_trace_dump_tags_are_unknown() {
+        for tag in [0x1Du8, 0x1E] {
+            let raw = Bytes::from(vec![tag, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert_eq!(
+                decode_frame(&raw),
+                Err(WireError::BadTag {
+                    field: "frame",
+                    tag
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_event_tag_is_rejected() {
+        let mut raw = encode_frame(&Frame::SpanOk {
+            dropped: 0,
+            spans: vec![(0, 0, Event::CkptCut { covered: 1 })],
+        })
+        .to_vec();
+        // Tag byte after frame tag, dropped, count, seq and micros.
+        raw[1 + 8 + 4 + 16] = 0xEE;
+        assert_eq!(
+            decode_frame(&Bytes::from(raw)),
+            Err(WireError::BadTag {
+                field: "event",
+                tag: 0xEE
+            })
+        );
     }
 
     #[test]

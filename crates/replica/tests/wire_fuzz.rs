@@ -25,8 +25,62 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{decode_frame, decode_mset, encode_frame, Frame, WireAudit};
+
+/// One of every site-event variant, parametrized by `seed` (the event
+/// codec's corpus beyond spans).
+fn site_events(seed: u64) -> Vec<Event> {
+    let site = SiteId(seed % 5);
+    vec![
+        Event::Boot {
+            epoch: seed % 7,
+            view: seed % 9,
+            replayed: seed % 31,
+            snapshot: if seed.is_multiple_of(2) {
+                Some(seed % 13)
+            } else {
+                None
+            },
+        },
+        Event::CatchUp {
+            from: site,
+            seq: seed % 13,
+            covered: seed % 101,
+        },
+        Event::CkptCut {
+            covered: seed % 101,
+        },
+        Event::CkptRestore {
+            covered: seed % 101,
+            view: seed % 9,
+        },
+        Event::CkptInstall {
+            seq: seed % 13,
+            covered: seed % 101,
+        },
+        Event::CkptInstallFailed { seq: seed % 13 },
+        Event::CkptMismatch { seq: seed % 13 },
+        Event::CkptTruncate {
+            through: seed % 89,
+            retired: seed % 17,
+        },
+        Event::ViewChange { view: seed % 9 },
+        Event::ViewInstall {
+            view: seed % 9,
+            coordinator: site,
+        },
+        Event::Hello {
+            site,
+            epoch: seed % 7,
+        },
+        Event::DuplicateSubmit {
+            client: ClientId(seed % 7),
+            seq: seed % 19,
+            et: EtId(seed % 97),
+        },
+    ]
+}
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -177,9 +231,18 @@ fn corpus(seed: u64) -> Vec<Frame> {
                         i,
                         seed % 1_000 + i,
                         SpanRec::new(SpanStage::Deliver, EtId(seed % 97))
-                            .with_t0(if seed.is_multiple_of(2) { Some(seed) } else { None }),
+                            .with_t0(if seed.is_multiple_of(2) { Some(seed) } else { None })
+                            .into(),
                     )
                 })
+                .collect(),
+        },
+        Frame::SpanOk {
+            dropped: seed % 7,
+            spans: site_events(seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, ev)| (i as u64, seed % 1_000 + i as u64, ev))
                 .collect(),
         },
     ]

@@ -13,11 +13,65 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{
-    decode_frame, decode_mset, encode_frame, encode_mset, Frame, WireAudit,
+    decode_frame, decode_mset, encode_frame, encode_mset, Frame, WireAudit, WireError,
 };
 use proptest::prelude::*;
+
+/// One of every site-event variant, parametrized by `seed` (the event
+/// codec's corpus beyond spans).
+fn site_events(seed: u64) -> Vec<Event> {
+    let site = SiteId(seed % 5);
+    vec![
+        Event::Boot {
+            epoch: seed % 7,
+            view: seed % 9,
+            replayed: seed % 31,
+            snapshot: if seed.is_multiple_of(2) {
+                Some(seed % 13)
+            } else {
+                None
+            },
+        },
+        Event::CatchUp {
+            from: site,
+            seq: seed % 13,
+            covered: seed % 101,
+        },
+        Event::CkptCut {
+            covered: seed % 101,
+        },
+        Event::CkptRestore {
+            covered: seed % 101,
+            view: seed % 9,
+        },
+        Event::CkptInstall {
+            seq: seed % 13,
+            covered: seed % 101,
+        },
+        Event::CkptInstallFailed { seq: seed % 13 },
+        Event::CkptMismatch { seq: seed % 13 },
+        Event::CkptTruncate {
+            through: seed % 89,
+            retired: seed % 17,
+        },
+        Event::ViewChange { view: seed % 9 },
+        Event::ViewInstall {
+            view: seed % 9,
+            coordinator: site,
+        },
+        Event::Hello {
+            site,
+            epoch: seed % 7,
+        },
+        Event::DuplicateSubmit {
+            client: ClientId(seed % 7),
+            seq: seed % 19,
+            et: EtId(seed % 97),
+        },
+    ]
+}
 
 /// A small strategy-free frame generator: maps an index + a handful of
 /// integers onto every variant family, so shrinking stays readable.
@@ -47,7 +101,7 @@ fn frame_from(seed: u64, variant: u8) -> Frame {
     } else {
         mset
     };
-    match variant % 26 {
+    match variant % 27 {
         0 => Frame::Hello {
             site,
             epoch: seed,
@@ -139,6 +193,14 @@ fn frame_from(seed: u64, variant: u8) -> Frame {
             covered: seed % 101,
         },
         24 => Frame::SpanQuery { et: seed % 97 },
+        25 => Frame::SpanOk {
+            dropped: seed % 5,
+            spans: site_events(seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, ev)| (i as u64, seed % 1_000 + i as u64, ev))
+                .collect(),
+        },
         _ => Frame::SpanOk {
             dropped: seed % 5,
             spans: (0..seed % 4)
@@ -149,7 +211,8 @@ fn frame_from(seed: u64, variant: u8) -> Frame {
                         SpanRec::new(SpanStage::Apply, EtId(seed % 97))
                             .with_version(if seed.is_multiple_of(2) { Some(ts) } else { None })
                             .with_gseq(Some(SeqNo(i)))
-                            .with_t0(if seed.is_multiple_of(3) { Some(seed) } else { None }),
+                            .with_t0(if seed.is_multiple_of(3) { Some(seed) } else { None })
+                            .into(),
                     )
                 })
                 .collect(),
@@ -209,6 +272,22 @@ proptest! {
         let cut = (at % raw.len() as u64) as usize;
         let prefix = Bytes::copy_from_slice(&raw.as_slice()[..cut]);
         prop_assert!(decode_frame(&prefix).is_err());
+    }
+
+    /// The retired text trace-dump tags (0x1D request, 0x1E reply)
+    /// decode as unknown frames, whatever body follows.
+    #[test]
+    fn retired_trace_tags_are_unknown(
+        reply in any::<bool>(),
+        body in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let retired = if reply { 0x1Eu8 } else { 0x1D };
+        let mut raw = vec![retired];
+        raw.extend(body);
+        prop_assert_eq!(
+            decode_frame(&Bytes::from(raw)),
+            Err(WireError::BadTag { field: "frame", tag: retired })
+        );
     }
 
     /// MSet encodings embedded in frames agree with the bare codec.

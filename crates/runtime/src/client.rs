@@ -191,19 +191,11 @@ impl RpcClient {
         }
     }
 
-    /// Dumps the daemon's in-memory trace ring: the number of events the
-    /// bounded ring dropped, and the retained events in order.
-    pub fn trace(&mut self) -> io::Result<(u64, Vec<WireTraceEvent>)> {
-        match self.call(&Frame::TraceDump)? {
-            Frame::TraceOk { dropped, events } => Ok((dropped, events)),
-            other => Err(bad_reply(&other)),
-        }
-    }
-
-    /// Dumps the daemon's esr-trace span ring for one ET (or every
-    /// span, with [`crate::spans::SPAN_QUERY_ALL`]): the number of
-    /// spans the bounded ring evicted, plus the retained matching
-    /// `(ring_seq, micros, span)` records in order.
+    /// Dumps the daemon's event ring: one ET's spans (plus VTNC
+    /// horizons), or every event — site events included — with
+    /// [`crate::spans::SPAN_QUERY_ALL`]. Returns the number of events
+    /// the bounded ring evicted, plus the retained matching
+    /// `(ring_seq, micros, event)` records in order.
     pub fn spans(&mut self, et: u64) -> io::Result<(u64, Vec<RawSpan>)> {
         match self.call(&Frame::SpanQuery { et })? {
             Frame::SpanOk { dropped, spans } => Ok((dropped, spans)),
@@ -256,7 +248,3 @@ impl RpcClient {
         }
     }
 }
-
-/// One trace-ring event as it crosses the wire:
-/// `(seq, micros-since-boot, component, message)`.
-pub type WireTraceEvent = (u64, u64, String, String);

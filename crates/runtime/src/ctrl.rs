@@ -7,10 +7,15 @@
 //! side-effect-free transitions: [`NodeCore::step`] consumes one
 //! [`NodeEvent`] and returns the ordered list of [`Effect`]s it
 //! implies. The daemon executes those effects against the real world
-//! (fsync'd journal, durable TCP links, the esr-obs event ring); the
-//! model checker in `crates/check` executes them against in-memory
-//! queues and explores every interleaving. Because both run *this*
-//! code, the daemon and the model cannot drift (DESIGN.md §14).
+//! (the on-disk journal, durable TCP links, the site's typed event
+//! ring); the model checker in `crates/check` executes them against
+//! in-memory queues and explores every interleaving. Because both run
+//! *this* code, the daemon and the model cannot drift (DESIGN.md §14).
+//!
+//! The journal is durable against process death, not power loss: an
+//! append is flushed to the kernel (the page cache survives a
+//! `kill -9`) but never fsync'd, so a host crash can lose an acked
+//! tail (ROADMAP item 4).
 //!
 //! ## The coordinator is elected, not fixed
 //!
@@ -35,7 +40,8 @@
 //! only after every effect of its step has been executed — that is the
 //! write-ahead discipline that makes a `kill -9` at any point safe:
 //! whatever was acked is journalled, whatever wasn't acked will be
-//! retransmitted by the peer's at-least-once queue. The same rule
+//! retransmitted by the peer's at-least-once queue (a process crash;
+//! see the durability note above for power loss). The same rule
 //! covers [`Effect::RecordView`]: a view is durable before the first
 //! send that presumes it.
 //!
@@ -52,7 +58,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
 use esr_core::op::Operation;
 use esr_replica::mset::{MSet, OrderTag};
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::Frame;
 
 use crate::ckpt::CkptPayload;
@@ -118,30 +124,24 @@ pub enum Effect {
     /// step, so no frame of a view can be observed before the view
     /// itself would survive a crash.
     RecordView(u64),
-    /// Record a structured observability event (esr-obs ring). The
-    /// message grammar is part of the trace-certifier contract
-    /// (`esr-check::certify`): apply events carry `v=<time>` /
-    /// `seq=<n>` annotations, control events use the fixed
-    /// `complete et N` / `vtnc -> time T` / `commit et N` /
-    /// `abort et N` forms.
-    Trace {
-        /// Ring component tag (`apply`, `control`, `peer`, `replay`,
-        /// `view`, `client`, `ckpt`).
-        component: &'static str,
-        /// Human- and certifier-readable event text.
-        message: String,
-    },
     /// Persist this checkpoint image (atomic snapshot install in the
     /// daemon, an in-memory register in the model). Boxed: a payload
     /// carries the whole replica image and would otherwise dominate the
     /// size of every `Effect`.
     Checkpoint(Box<CkptPayload>),
-    /// Record one tracing span (esr-trace plane). Non-durable and
-    /// purely observational: the daemon stamps it with wall-clock
-    /// micros and appends it to the bounded span ring, the model
-    /// checker discards it. Never carries protocol meaning — dropping
-    /// every `Span` effect must leave behaviour unchanged.
-    Span(SpanRec),
+    /// Record one typed event: a per-ET span or a site event.
+    /// Non-durable and purely observational: the daemon stamps it with
+    /// wall-clock micros and appends it to its bounded event ring, the
+    /// model checker keeps it per incarnation for its oracles. Both
+    /// feed the trace certifier (`esr-check::certify`). Never carries
+    /// protocol meaning — dropping every `Event` effect must leave
+    /// behaviour unchanged.
+    Event(Event),
+}
+
+/// The effect that records span `rec`.
+fn span(rec: SpanRec) -> Effect {
+    Effect::Event(Event::Span(rec))
 }
 
 /// Seeded control-plane defects for checker self-tests. Production
@@ -609,15 +609,11 @@ impl NodeCore {
             }
             newly.extend(core.take_unblocked());
             for (et, version, seq) in newly {
-                effects.push(Effect::Trace {
-                    component: "replay",
-                    message: apply_message(et, version, seq),
-                });
-                // The in-memory span ring died with the previous
+                // The in-memory event ring died with the previous
                 // incarnation; the replay span is the durable trace of
                 // this site's apply, so post-crash timelines still
-                // stitch.
-                effects.push(Effect::Span(
+                // stitch and the certifier sees the apply.
+                effects.push(span(
                     SpanRec::new(SpanStage::Replay, et)
                         .with_version(version)
                         .with_gseq(seq.map(SeqNo)),
@@ -656,14 +652,11 @@ impl NodeCore {
                 // the original SubmitOk.
                 if let Some((cid, cseq)) = mset.client {
                     if let Some(et) = self.cached_et(cid, cseq) {
-                        return vec![Effect::Trace {
-                            component: "client",
-                            message: format!(
-                                "duplicate submit client {} seq {cseq} -> et {}",
-                                cid.raw(),
-                                et.0
-                            ),
-                        }];
+                        return vec![Effect::Event(Event::DuplicateSubmit {
+                            client: cid,
+                            seq: cseq,
+                            et,
+                        })];
                     }
                 }
                 // Fan the update out to every peer over the durable
@@ -671,13 +664,13 @@ impl NodeCore {
                 // report). The submit span marks the trace root; one
                 // enqueue span per peer marks each link hand-off.
                 let t0 = mset.t0;
-                let mut effects: Vec<Effect> = vec![Effect::Span(
+                let mut effects: Vec<Effect> = vec![span(
                     SpanRec::new(SpanStage::Submit, mset.et)
                         .with_gseq(seq_of(&mset).map(SeqNo))
                         .with_t0(t0),
                 )];
                 for to in self.peers().collect::<Vec<_>>() {
-                    effects.push(Effect::Span(
+                    effects.push(span(
                         SpanRec::new(SpanStage::Enqueue, mset.et)
                             .to_peer(to)
                             .with_t0(t0),
@@ -699,10 +692,9 @@ impl NodeCore {
             NodeEvent::Checkpoint { through } => {
                 let payload = self.ckpt_payload(through);
                 vec![
-                    Effect::Trace {
-                        component: "ckpt",
-                        message: format!("cut covered={}", payload.covered),
-                    },
+                    Effect::Event(Event::CkptCut {
+                        covered: payload.covered,
+                    }),
                     Effect::Checkpoint(Box::new(payload)),
                 ]
             }
@@ -784,10 +776,10 @@ impl NodeCore {
             .into_iter()
             .map(|(et, v, s)| (et, (v, s)))
             .collect();
-        let mut effects = vec![Effect::Trace {
-            component: "ckpt",
-            message: format!("restore covered={} view={}", payload.covered, core.view),
-        }];
+        let mut effects = vec![Effect::Event(Event::CkptRestore {
+            covered: payload.covered,
+            view: core.view,
+        })];
         let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
         for mset in suffix {
             let et = mset.et;
@@ -809,11 +801,7 @@ impl NodeCore {
             }
             newly.extend(core.take_unblocked());
             for (et, version, seq) in newly {
-                effects.push(Effect::Trace {
-                    component: "replay",
-                    message: apply_message(et, version, seq),
-                });
-                effects.push(Effect::Span(
+                effects.push(span(
                     SpanRec::new(SpanStage::Replay, et)
                         .with_version(version)
                         .with_gseq(seq.map(SeqNo)),
@@ -900,10 +888,7 @@ impl NodeCore {
         }
         let mut effects = Vec::new();
         if self.svc_from.insert(self.site) {
-            effects.push(Effect::Trace {
-                component: "view",
-                message: format!("start view change -> view {target}"),
-            });
+            effects.push(Effect::Event(Event::ViewChange { view: target }));
             for to in self.peers() {
                 effects.push(Effect::Send {
                     to,
@@ -1001,10 +986,10 @@ impl NodeCore {
         self.coord = Some(coord);
         let mut effects = vec![
             Effect::RecordView(w),
-            Effect::Trace {
-                component: "view",
-                message: format!("install view {w} as coordinator"),
-            },
+            Effect::Event(Event::ViewInstall {
+                view: w,
+                coordinator: self.site,
+            }),
         ];
         effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
         for to in self.peers() {
@@ -1062,10 +1047,7 @@ impl NodeCore {
     fn on_peer_frame(&mut self, frame: Frame) -> Vec<Effect> {
         match frame {
             Frame::Hello { site, epoch } => {
-                let mut effects = vec![Effect::Trace {
-                    component: "peer",
-                    message: format!("hello from site {} epoch {epoch}", site.raw()),
-                }];
+                let mut effects = vec![Effect::Event(Event::Hello { site, epoch })];
                 if let Some(coord) = &mut self.coord {
                     // Coordinator: answer every peer (re)handshake with
                     // the view snapshot — idempotent replay that covers
@@ -1263,13 +1245,10 @@ impl NodeCore {
                         self.coord = None;
                     }
                     effects.push(Effect::RecordView(view));
-                    effects.push(Effect::Trace {
-                        component: "view",
-                        message: format!(
-                            "install view {view}, coordinator site {}",
-                            coordinator_of(view, self.sites).raw()
-                        ),
-                    });
+                    effects.push(Effect::Event(Event::ViewInstall {
+                        view,
+                        coordinator: coordinator_of(view, self.sites),
+                    }));
                 }
                 effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
                 if install && coordinator_of(view, self.sites) != self.site {
@@ -1313,7 +1292,7 @@ impl NodeCore {
         let version = max_version(&mset);
         let seq = seq_of(&mset);
         let t0 = mset.t0;
-        let mut effects = vec![Effect::Span(
+        let mut effects = vec![span(
             SpanRec::new(SpanStage::Deliver, et)
                 .with_gseq(seq.map(SeqNo))
                 .with_t0(t0),
@@ -1330,44 +1309,26 @@ impl NodeCore {
         }
         let before = self.state.has_applied(et);
         self.state.deliver(mset);
-        let newly_applied = !before && self.state.has_applied(et);
-        if !newly_applied && !self.state.has_applied(et) {
-            self.held.insert(et, (version, seq));
-        }
-        effects.push(Effect::Trace {
-            component: "apply",
-            message: if newly_applied {
-                apply_message(et, version, seq)
-            } else {
-                format!("et {} held/duplicate", et.0)
-            },
-        });
-        if newly_applied {
-            effects.push(Effect::Span(
+        if !before && self.state.has_applied(et) {
+            effects.push(span(
                 SpanRec::new(SpanStage::Apply, et)
                     .with_version(version)
                     .with_gseq(seq.map(SeqNo))
                     .with_t0(t0),
             ));
+            effects.extend(self.report_applied(et, version));
         } else if !self.state.has_applied(et) {
             // Parked behind a sequence gap (duplicates get no span —
             // their lifecycle was already recorded the first time).
-            effects.push(Effect::Span(
+            self.held.insert(et, (version, seq));
+            effects.push(span(
                 SpanRec::new(SpanStage::Held, et).with_gseq(seq.map(SeqNo)),
             ));
-        }
-        if newly_applied {
-            let announce = self.report_applied(et, version);
-            effects.extend(announce);
         }
         // An in-order arrival may have released held successors: they
         // are applied *now*, so they are traced and reported now.
         for (et, version, seq) in self.take_unblocked() {
-            effects.push(Effect::Trace {
-                component: "apply",
-                message: apply_message(et, version, seq),
-            });
-            effects.push(Effect::Span(
+            effects.push(span(
                 SpanRec::new(SpanStage::Apply, et)
                     .with_version(version)
                     .with_gseq(seq.map(SeqNo)),
@@ -1458,17 +1419,14 @@ impl NodeCore {
             Frame::Complete { et } => {
                 let mut v = self.apply_complete(et);
                 if !v.is_empty() {
-                    v.insert(
-                        0,
-                        Effect::Span(SpanRec::new(SpanStage::CompleteCert, et)),
-                    );
+                    v.insert(0, span(SpanRec::new(SpanStage::CompleteCert, et)));
                 }
                 v
             }
             Frame::Vtnc { ts } => {
                 let mut v = self.apply_vtnc(ts);
                 if !v.is_empty() {
-                    v.insert(0, Effect::Span(SpanRec::vtnc(SpanStage::VtncCert, ts)));
+                    v.insert(0, span(SpanRec::vtnc(SpanStage::VtncCert, ts)));
                 }
                 v
             }
@@ -1477,9 +1435,7 @@ impl NodeCore {
                 if !v.is_empty() {
                     v.insert(
                         0,
-                        Effect::Span(
-                            SpanRec::new(SpanStage::DecisionCert, et).with_commit(commit),
-                        ),
+                        span(SpanRec::new(SpanStage::DecisionCert, et).with_commit(commit)),
                     );
                 }
                 v
@@ -1498,20 +1454,14 @@ impl NodeCore {
     fn apply_complete(&mut self, et: EtId) -> Vec<Effect> {
         // Re-broadcasts (a recovered or newly-elected coordinator
         // re-driving its log, snapshot replay) are absorbed silently:
-        // a duplicate `complete` trace would itself be a certifier
+        // a duplicate `complete` span would itself be a certifier
         // finding.
         if !self.completed_seen.insert(et) {
             return Vec::new();
         }
         self.completed_order.push(et);
         self.state.complete(et);
-        vec![
-            Effect::Span(SpanRec::new(SpanStage::Complete, et)),
-            Effect::Trace {
-                component: "control",
-                message: format!("complete et {}", et.0),
-            },
-        ]
+        vec![span(SpanRec::new(SpanStage::Complete, et))]
     }
 
     fn apply_vtnc(&mut self, ts: VersionTs) -> Vec<Effect> {
@@ -1525,13 +1475,7 @@ impl NodeCore {
             return Vec::new();
         }
         self.vtnc_seen = Some(ts);
-        vec![
-            Effect::Span(SpanRec::vtnc(SpanStage::Vtnc, ts)),
-            Effect::Trace {
-                component: "control",
-                message: format!("vtnc -> time {}", ts.time),
-            },
-        ]
+        vec![span(SpanRec::vtnc(SpanStage::Vtnc, ts))]
     }
 
     fn apply_decision(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
@@ -1560,13 +1504,9 @@ impl NodeCore {
         if duplicate {
             return Vec::new();
         }
-        vec![
-            Effect::Span(SpanRec::new(SpanStage::Decision, et).with_commit(commit)),
-            Effect::Trace {
-                component: "control",
-                message: format!("{} et {}", if commit { "commit" } else { "abort" }, et.0),
-            },
-        ]
+        vec![span(
+            SpanRec::new(SpanStage::Decision, et).with_commit(commit),
+        )]
     }
 
     /// Enqueues `frame` to every peer without applying it locally —
@@ -1598,18 +1538,6 @@ impl NodeCore {
     }
 }
 
-/// The certifier-facing apply message: `et N applied[ v=T][ seq=S]`.
-fn apply_message(et: EtId, version: Option<VersionTs>, seq: Option<u64>) -> String {
-    let mut m = format!("et {} applied", et.0);
-    if let Some(v) = version {
-        m.push_str(&format!(" v={}", v.time));
-    }
-    if let Some(s) = seq {
-        m.push_str(&format!(" seq={s}"));
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1629,6 +1557,17 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 Effect::Send { to, frame } => Some((*to, frame)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The spans at `stage` among `effects`, in order.
+    fn spans_at(effects: &[Effect], stage: SpanStage) -> Vec<SpanRec> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Event(Event::Span(r)) if r.stage == stage => Some(*r),
                 _ => None,
             })
             .collect()
@@ -1673,23 +1612,18 @@ mod tests {
         );
         let early = incr(2, 0).sequenced(SeqNo(1));
         let held = core.step(NodeEvent::PeerFrame(Frame::MSet(early)));
-        assert!(held.iter().any(|e| matches!(
-            e,
-            Effect::Trace { message, .. } if message.contains("held")
-        )));
+        assert_eq!(spans_at(&held, SpanStage::Held).len(), 1);
         let late = incr(1, 0).sequenced(SeqNo(0));
         let effects = core.step(NodeEvent::PeerFrame(Frame::MSet(late)));
-        let applies: Vec<&String> = effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Trace { component: "apply", message } if message.contains("applied") => {
-                    Some(message)
-                }
-                _ => None,
-            })
-            .collect();
+        let applies = spans_at(&effects, SpanStage::Apply);
         assert_eq!(applies.len(), 2, "release must trace both applies: {effects:?}");
-        assert!(applies[0].contains("seq=0") && applies[1].contains("seq=1"));
+        assert_eq!(
+            applies.iter().map(|r| (r.et, r.gseq)).collect::<Vec<_>>(),
+            vec![
+                (Some(EtId(1)), Some(SeqNo(0))),
+                (Some(EtId(2)), Some(SeqNo(1)))
+            ]
+        );
         assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
     }
 
@@ -1901,10 +1835,9 @@ mod tests {
         // The handoff re-drives evidence but must not re-trace the
         // completion anywhere.
         assert!(
-            !during.iter().any(|e| matches!(
-                e,
-                Effect::Trace { message, .. } if message == "complete et 7"
-            )),
+            !spans_at(&during, SpanStage::Complete)
+                .iter()
+                .any(|r| r.et == Some(EtId(7))),
             "handoff re-traced an already-completed ET: {during:?}"
         );
         // The new coordinator's snapshot carries the old completion,
@@ -1913,10 +1846,9 @@ mod tests {
         let submit = cores[2].step(NodeEvent::ClientSubmit(incr(8, 2)));
         let all = pump(&mut cores, submit);
         assert!(
-            all.iter().any(|e| matches!(
-                e,
-                Effect::Trace { message, .. } if message == "complete et 8"
-            )),
+            spans_at(&all, SpanStage::Complete)
+                .iter()
+                .any(|r| r.et == Some(EtId(8))),
             "post-handoff submit never completed: {all:?}"
         );
     }

@@ -69,10 +69,11 @@ use esr_net::rpc::{
     NO_ENTRY,
 };
 use esr_obs::{
-    CkptInstruments, Counter, EventRing, Gauge, Histogram, LinkInstruments, MetricsRegistry,
+    CkptInstruments, Counter, Gauge, Histogram, LinkInstruments, MetricsRegistry,
     ReactorInstruments, SiteInstruments,
 };
 use esr_replica::mset::MSet;
+use esr_replica::span::Event;
 use esr_replica::wire::{decode_frame, encode_frame, Frame, WireAudit};
 use esr_storage::snapshot;
 use esr_storage::stable_queue::FileQueue;
@@ -123,7 +124,7 @@ struct CkptState {
 /// All protocol logic lives in the pure [`NodeCore`]
 /// (`crate::ctrl`): the daemon's job is only to feed it events and
 /// execute the effects it returns against the real world — the on-disk
-/// journal, the durable links, and the esr-obs trace ring.
+/// journal, the durable links, and the site's event ring.
 pub struct Daemon {
     cfg: DaemonConfig,
     epoch: u64,
@@ -146,14 +147,13 @@ pub struct Daemon {
     robs: ReactorInstruments,
     /// This incarnation's metrics; scraped via [`Frame::Metrics`].
     metrics: MetricsRegistry,
-    /// Bounded structured-event ring; dumped via [`Frame::TraceDump`].
-    trace: EventRing,
-    /// Bounded esr-trace span ring; scraped via [`Frame::SpanQuery`].
-    spans: SpanRing,
-    /// Boot instant — trace timestamps are micros since boot.
+    /// The one bounded ring of typed events (spans and site events);
+    /// scraped via [`Frame::SpanQuery`].
+    events: SpanRing,
+    /// Boot instant.
     boot: Instant,
-    /// UNIX micros at `boot`: span stamps are `wall_base + elapsed`,
-    /// so every site's spans share the host's wall epoch (what lets
+    /// UNIX micros at `boot`: event stamps are `wall_base + elapsed`,
+    /// so every site's events share the host's wall epoch (what lets
     /// `esrctl spans` subtract stamps across rings on one host).
     wall_base: u64,
     /// Wall-clock journal+apply latency per accepted MSet.
@@ -207,8 +207,8 @@ fn snap_prefix(site: SiteId) -> String {
 /// refers to the *peer's* journal ids, so it is rebased to `None`
 /// before the local install; our own journal is empty, so restore
 /// replays nothing on top. Best-effort: an unreachable cluster just
-/// means a cold boot.
-fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, trace: &EventRing) {
+/// means a cold boot. Returns the catch-up event on success.
+fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str) -> Option<Event> {
     for j in 0..cfg.sites {
         let peer = SiteId(j as u64);
         if peer == cfg.site {
@@ -229,18 +229,14 @@ fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, trace: &EventRing) {
         };
         payload.covered_through = None;
         if snapshot::install(&cfg.dir, prefix, peer_seq, &encode_payload(&payload)).is_ok() {
-            trace.record(
-                0,
-                "ckpt",
-                format!(
-                    "catch-up: installed snapshot seq {peer_seq} (covered {}) from site {}",
-                    payload.covered,
-                    peer.raw()
-                ),
-            );
-            return;
+            return Some(Event::CatchUp {
+                from: peer,
+                seq: peer_seq,
+                covered: payload.covered,
+            });
         }
     }
+    None
 }
 
 /// The address file published by site `site` under `dir`.
@@ -326,8 +322,9 @@ impl Daemon {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
+        let stamp = || wall_base + boot.elapsed().as_micros() as u64;
         let metrics = MetricsRegistry::new();
-        let trace = EventRing::default();
+        let events = SpanRing::default();
         let site_label = cfg.site.raw().to_string();
         let replays = metrics.counter("esr_recovery_replays_total", &[("site", &site_label)]);
         let ckpt_obs = CkptInstruments::for_site(&metrics, cfg.site.raw());
@@ -343,7 +340,9 @@ impl Daemon {
             && journal.live_entries() == 0
             && snapshot::load_newest(&cfg.dir, &prefix).ok().flatten().is_none()
         {
-            catch_up_from_peers(&cfg, &prefix, &trace);
+            if let Some(ev) = catch_up_from_peers(&cfg, &prefix) {
+                events.record(stamp(), ev);
+            }
         }
 
         // Rejoin the last durably installed view (0 on a cold boot):
@@ -398,22 +397,18 @@ impl Daemon {
                     for _ in 0..replayed {
                         replays.inc();
                     }
-                    trace.record(
-                        0,
-                        "boot",
-                        format!(
-                            "epoch {epoch}: restored snapshot seq {snap_seq} \
-                             (covered {}), replayed {replayed} suffix entries, view {}",
-                            chain.covered, core.view
-                        ),
+                    events.record(
+                        stamp(),
+                        Event::Boot {
+                            epoch,
+                            view: core.view,
+                            replayed,
+                            snapshot: Some(snap_seq),
+                        },
                     );
                     restored = Some((core, effects, chain));
                 } else {
-                    trace.record(
-                        0,
-                        "ckpt",
-                        format!("snapshot seq {snap_seq} method mismatch; full replay"),
-                    );
+                    events.record(stamp(), Event::CkptMismatch { seq: snap_seq });
                 }
             }
         }
@@ -431,13 +426,14 @@ impl Daemon {
                 for _ in &entries {
                     replays.inc();
                 }
-                trace.record(
-                    0,
-                    "boot",
-                    format!(
-                        "epoch {epoch}: replayed {} journal entries, view {view}",
-                        entries.len()
-                    ),
+                events.record(
+                    stamp(),
+                    Event::Boot {
+                        epoch,
+                        view,
+                        replayed: entries.len() as u64,
+                        snapshot: None,
+                    },
                 );
                 let (core, effects) = NodeCore::recover(
                     state,
@@ -521,8 +517,7 @@ impl Daemon {
             robs,
             cfg,
             metrics,
-            trace,
-            spans: SpanRing::default(),
+            events,
             boot,
             wall_base,
             apply_latency,
@@ -554,7 +549,7 @@ impl Daemon {
                 }
             })?;
 
-        // Execute the recovery effects: replay trace events plus the
+        // Execute the recovery effects: replay spans plus the
         // re-announcement of recovered applies (the coordinator
         // deduplicates).
         daemon.perform(recovery_effects);
@@ -620,8 +615,8 @@ impl Daemon {
 
     /// Executes core effects against the real world, strictly in
     /// order: journal appends hit disk, view records land durably,
-    /// sends enqueue on the durable links, trace effects land in the
-    /// esr-obs ring.
+    /// sends enqueue on the durable links, events land in the event
+    /// ring.
     fn perform(&self, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
@@ -657,10 +652,7 @@ impl Daemon {
                     }
                     self.send_bytes(to, encode_frame(&frame));
                 }
-                Effect::Trace { component, message } => self.trace_event(component, message),
-                Effect::Span(rec) => self
-                    .spans
-                    .record(self.wall_base + self.boot.elapsed().as_micros() as u64, rec),
+                Effect::Event(ev) => self.record(ev),
             }
         }
     }
@@ -699,14 +691,11 @@ impl Daemon {
                 // SubmitOk — even if the retry was re-stamped.
                 if let Some((cid, seq)) = mset.client {
                     if let Some(et) = self.core.lock().cached_et(cid, seq) {
-                        self.trace_event(
-                            "client",
-                            format!(
-                                "duplicate submit client {} seq {seq} -> et {}",
-                                cid.raw(),
-                                et.0
-                            ),
-                        );
+                        self.record(Event::DuplicateSubmit {
+                            client: cid,
+                            seq,
+                            et,
+                        });
                         return Frame::SubmitOk { et };
                     }
                 }
@@ -789,17 +778,8 @@ impl Daemon {
                 text: self.metrics.render(),
             },
             Frame::SpanQuery { et } => Frame::SpanOk {
-                dropped: self.spans.dropped(),
-                spans: self.spans.query(et),
-            },
-            Frame::TraceDump => Frame::TraceOk {
-                dropped: self.trace.dropped(),
-                events: self
-                    .trace
-                    .entries()
-                    .into_iter()
-                    .map(|e| (e.seq, e.micros, e.component, e.message))
-                    .collect(),
+                dropped: self.events.dropped(),
+                spans: self.events.query(et),
             },
             // Anything else is a protocol error; answer with an empty
             // status so the client sees *a* frame and can give up.
@@ -834,7 +814,7 @@ impl Daemon {
             for effect in effects {
                 match effect {
                     Effect::Checkpoint(p) => payload = Some(p),
-                    Effect::Trace { component, message } => self.trace_event(component, message),
+                    Effect::Event(ev) => self.record(ev),
                     _ => {}
                 }
             }
@@ -862,18 +842,18 @@ impl Daemon {
         let bytes = encode_payload(payload);
         let seq = st.seq + 1;
         let prefix = snap_prefix(self.cfg.site);
-        if let Err(e) = snapshot::install(&self.cfg.dir, &prefix, seq, &bytes) {
-            self.trace_event("ckpt", format!("install seq={seq} failed: {e}"));
+        if snapshot::install(&self.cfg.dir, &prefix, seq, &bytes).is_err() {
+            self.record(Event::CkptInstallFailed { seq });
             return (st.seq, st.covered);
         }
         self.ckpt_obs.installed(
             (bytes.len() + snapshot::SNAP_OVERHEAD) as u64,
             started.elapsed().as_micros() as u64,
         );
-        self.trace_event(
-            "ckpt",
-            format!("install seq={seq} covered={}", payload.covered),
-        );
+        self.record(Event::CkptInstall {
+            seq,
+            covered: payload.covered,
+        });
         let previous_cut = st.covered_through;
         st.seq = seq;
         st.covered = payload.covered;
@@ -887,17 +867,20 @@ impl Daemon {
             if retired > 0 {
                 self.ckpt_obs.truncated(retired);
                 self.ckpt_obs.journal(file_bytes, live);
-                self.trace_event("ckpt", format!("truncate through={cut} retired={retired}"));
+                self.record(Event::CkptTruncate {
+                    through: cut,
+                    retired,
+                });
             }
         }
         let _ = snapshot::retain(&self.cfg.dir, &prefix, 2);
         (st.seq, st.covered)
     }
 
-    /// Records a structured trace event stamped micros-since-boot.
-    fn trace_event(&self, component: &str, message: String) {
-        self.trace
-            .record(self.boot.elapsed().as_micros() as u64, component, message);
+    /// Records one event in the ring, stamped with wall micros.
+    fn record(&self, ev: Event) {
+        self.events
+            .record(self.wall_base + self.boot.elapsed().as_micros() as u64, ev);
     }
 
     fn send_bytes(&self, to: SiteId, bytes: Bytes) {

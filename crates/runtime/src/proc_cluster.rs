@@ -29,7 +29,7 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
 
-use crate::client::{DaemonStatus, RpcClient, WireTraceEvent};
+use crate::client::{DaemonStatus, RpcClient};
 use crate::cluster::QuiesceTimeout;
 use crate::spans::RawSpan;
 use crate::state::{RtMethod, SiteAudit};
@@ -368,13 +368,9 @@ impl ProcCluster {
         self.client(site)?.metrics()
     }
 
-    /// Dumps `site`'s trace ring: `(dropped, events)`.
-    pub fn trace_of(&self, site: SiteId) -> io::Result<(u64, Vec<WireTraceEvent>)> {
-        self.client(site)?.trace()
-    }
-
-    /// Dumps `site`'s esr-trace span ring for one ET (or all spans via
-    /// [`crate::spans::SPAN_QUERY_ALL`]): `(dropped, spans)`.
+    /// Dumps `site`'s event ring: one ET's spans, or every event via
+    /// [`crate::spans::SPAN_QUERY_ALL`] (what the trace certifier
+    /// reads): `(dropped, events)`.
     pub fn spans_of(
         &self,
         site: SiteId,

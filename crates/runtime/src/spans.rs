@@ -1,12 +1,15 @@
-//! esr-trace: the per-daemon span ring and the cross-site timeline
+//! esr-trace: the per-daemon event ring and the cross-site timeline
 //! merge.
 //!
-//! Each daemon appends every [`Effect::Span`](crate::ctrl::Effect)
-//! its core emits to a bounded [`SpanRing`] — the tracing plane's
-//! flight recorder, shaped like the esr-obs `EventRing` but typed.
-//! `esrctl spans <et>` then scrapes every site's ring over the client
-//! plane ([`Frame::SpanQuery`](esr_replica::wire::Frame)) and calls
-//! [`merge_timeline`] to stitch the records into one causal timeline.
+//! Each daemon appends every [`Effect::Event`](crate::ctrl::Effect)
+//! its core emits — plus its own boot, catch-up and checkpoint-install
+//! events — to one bounded [`SpanRing`] of typed
+//! [`Event`](esr_replica::span::Event)s: the site's flight recorder.
+//! Every reader scrapes it over the client plane with
+//! [`Frame::SpanQuery`](esr_replica::wire::Frame): `esrctl trace` and
+//! the trace certifier (`esr-check::certify`) take the whole ring,
+//! `esrctl spans <et>` takes one ET's spans from every site and calls
+//! [`merge_timeline`] to stitch them into one causal timeline.
 //!
 //! ## Merge rules (DESIGN.md §17)
 //!
@@ -33,21 +36,21 @@
 //! ## Overflow
 //!
 //! The ring is bounded ([`SPAN_RING_CAPACITY`]); overflow evicts the
-//! oldest records and counts them, mirroring the event ring. A merge
-//! over a ring that dropped records still orders what remains
-//! correctly (ranks are per-record), but the critical path may lose
-//! edges — `esrctl spans` surfaces the per-site drop counters so a
-//! truncated answer is never mistaken for a complete one (the same
-//! honesty rule the trace certifier applies to `EventRing` overflow).
+//! oldest records and counts them. A merge over a ring that dropped
+//! records still orders what remains correctly (ranks are
+//! per-record), but the critical path may lose edges — `esrctl spans`
+//! surfaces the per-site drop counters so a truncated answer is never
+//! mistaken for a complete one, and the trace certifier downgrades its
+//! history checks for the same reason.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use esr_core::ids::{EtId, SiteId, VersionTs};
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 
-/// Default per-daemon span ring capacity. At ~10 spans per ET
+/// Default per-daemon event ring capacity. At ~10 spans per ET
 /// lifecycle this retains the last few thousand ETs — enough to trace
 /// any ET a load driver just pushed, in bounded memory.
 pub const SPAN_RING_CAPACITY: usize = 65_536;
@@ -58,13 +61,13 @@ pub const SPAN_QUERY_ALL: u64 = u64::MAX;
 
 #[derive(Debug, Default)]
 struct SpanRingInner {
-    spans: VecDeque<(u64, u64, SpanRec)>,
+    spans: VecDeque<RawSpan>,
     next_seq: u64,
     dropped: u64,
 }
 
-/// A bounded, shareable ring of `(ring_seq, micros, span)` records.
-/// Cloning shares the ring.
+/// A bounded, shareable ring of `(ring_seq, micros, event)` records —
+/// a daemon's one event ring. Cloning shares the ring.
 #[derive(Debug, Clone)]
 pub struct SpanRing {
     inner: Arc<Mutex<SpanRingInner>>,
@@ -72,7 +75,7 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    /// A ring holding at most `capacity` spans (oldest evicted first).
+    /// A ring holding at most `capacity` events (oldest evicted first).
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Arc::new(Mutex::new(SpanRingInner::default())),
@@ -86,9 +89,9 @@ impl SpanRing {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Appends one span stamped with caller-supplied micros (wall in
+    /// Appends one event stamped with caller-supplied micros (wall in
     /// the daemon; the ring itself never reads a clock).
-    pub fn record(&self, micros: u64, rec: SpanRec) {
+    pub fn record(&self, micros: u64, ev: Event) {
         let mut inner = self.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -96,34 +99,37 @@ impl SpanRing {
             inner.spans.pop_front();
             inner.dropped += 1;
         }
-        inner.spans.push_back((seq, micros, rec));
+        inner.spans.push_back((seq, micros, ev));
     }
 
-    /// Retained spans matching `et` ([`SPAN_QUERY_ALL`] selects all),
-    /// oldest first. VTNC horizon spans carry no ET and match every
-    /// query: the caller attributes them via apply versions.
-    pub fn query(&self, et: u64) -> Vec<(u64, u64, SpanRec)> {
+    /// Retained events matching `et`, oldest first:
+    /// [`SPAN_QUERY_ALL`] selects every event, any other value only
+    /// that ET's spans plus the VTNC horizon spans, which carry no ET
+    /// (the caller attributes them via apply versions). Site events
+    /// never match a per-ET query.
+    pub fn query(&self, et: u64) -> Vec<RawSpan> {
         self.lock()
             .spans
             .iter()
-            .filter(|(_, _, r)| {
-                et == SPAN_QUERY_ALL || r.et.is_none() || r.et == Some(EtId(et))
+            .filter(|(_, _, ev)| {
+                et == SPAN_QUERY_ALL
+                    || matches!(ev, Event::Span(r) if r.et.is_none() || r.et == Some(EtId(et)))
             })
             .copied()
             .collect()
     }
 
-    /// Spans evicted because the ring was full.
+    /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
     }
 
-    /// Number of retained spans.
+    /// Number of retained events.
     pub fn len(&self) -> usize {
         self.lock().spans.len()
     }
 
-    /// Whether the ring holds no spans.
+    /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
         self.lock().spans.is_empty()
     }
@@ -135,8 +141,8 @@ impl Default for SpanRing {
     }
 }
 
-/// A span as it comes off the wire: `(ring seq, wall micros, record)`.
-pub type RawSpan = (u64, u64, SpanRec);
+/// An event as it comes off the wire: `(ring seq, wall micros, event)`.
+pub type RawSpan = (u64, u64, Event);
 
 /// One span as it appears in a merged cross-site timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +176,16 @@ fn rank(stage: SpanStage) -> u8 {
     }
 }
 
+/// The span records of one site's dump, site events skipped.
+fn spans(events: &[RawSpan]) -> impl Iterator<Item = (u64, u64, SpanRec)> + '_ {
+    events.iter().filter_map(|&(seq, micros, ev)| match ev {
+        Event::Span(rec) => Some((seq, micros, rec)),
+        _ => None,
+    })
+}
+
 /// Merges per-site span dumps into one causally ordered timeline for
-/// `et`.
+/// `et`. Site events (anything but [`Event::Span`]) are skipped.
 ///
 /// Ordering is happens-before only (see the module doc): stage rank,
 /// then origin-site-first, then site id, then ring seq — never wall
@@ -190,7 +204,7 @@ pub fn merge_timeline(
     // The ET's version horizon target, from any apply/replay span.
     let et_version: Option<VersionTs> = per_site
         .iter()
-        .flat_map(|(_, spans)| spans.iter())
+        .flat_map(|(_, events)| spans(events))
         .filter(|(_, _, r)| {
             r.et == Some(et)
                 && matches!(r.stage, SpanStage::Apply | SpanStage::Replay)
@@ -200,20 +214,18 @@ pub fn merge_timeline(
     // The origin site, identified by who recorded the submit span.
     let origin: Option<SiteId> = per_site
         .iter()
-        .find(|(_, spans)| {
-            spans
-                .iter()
-                .any(|(_, _, r)| r.et == Some(et) && r.stage == SpanStage::Submit)
+        .find(|(_, events)| {
+            spans(events).any(|(_, _, r)| r.et == Some(et) && r.stage == SpanStage::Submit)
         })
         .map(|(site, _)| *site);
 
     let mut out: Vec<SiteSpan> = Vec::new();
     let mut seen: Vec<(SiteId, SpanStage, Option<SiteId>)> = Vec::new();
-    for (site, spans) in per_site {
+    for (site, events) in per_site {
         // (certificate seen, observation seen) — tracked separately so
         // the coordinator keeps both its vtnc-cert and its own vtnc.
         let mut vtnc_done = (false, false);
-        for &(seq, micros, rec) in spans {
+        for (seq, micros, rec) in spans(events) {
             let keep = match rec.et {
                 Some(e) => e == et,
                 // A horizon span: visible iff it covers the ET's
@@ -386,29 +398,29 @@ mod tests {
             (
                 SiteId(0),
                 vec![
-                    (0, 100, SpanRec::new(SpanStage::Submit, e).with_t0(Some(40))),
-                    (1, 101, SpanRec::new(SpanStage::Enqueue, e).to_peer(SiteId(1))),
-                    (2, 102, SpanRec::new(SpanStage::Enqueue, e).to_peer(SiteId(2))),
-                    (3, 110, SpanRec::new(SpanStage::Deliver, e)),
-                    (4, 120, SpanRec::new(SpanStage::Apply, e)),
-                    (5, 500, SpanRec::new(SpanStage::CompleteCert, e)),
-                    (6, 510, SpanRec::new(SpanStage::Complete, e)),
+                    (0, 100, SpanRec::new(SpanStage::Submit, e).with_t0(Some(40)).into()),
+                    (1, 101, SpanRec::new(SpanStage::Enqueue, e).to_peer(SiteId(1)).into()),
+                    (2, 102, SpanRec::new(SpanStage::Enqueue, e).to_peer(SiteId(2)).into()),
+                    (3, 110, SpanRec::new(SpanStage::Deliver, e).into()),
+                    (4, 120, SpanRec::new(SpanStage::Apply, e).into()),
+                    (5, 500, SpanRec::new(SpanStage::CompleteCert, e).into()),
+                    (6, 510, SpanRec::new(SpanStage::Complete, e).into()),
                 ],
             ),
             (
                 SiteId(1),
                 vec![
-                    (0, 9_000, SpanRec::new(SpanStage::Deliver, e)),
-                    (1, 9_100, SpanRec::new(SpanStage::Apply, e)),
-                    (2, 9_800, SpanRec::new(SpanStage::Complete, e)),
+                    (0, 9_000, SpanRec::new(SpanStage::Deliver, e).into()),
+                    (1, 9_100, SpanRec::new(SpanStage::Apply, e).into()),
+                    (2, 9_800, SpanRec::new(SpanStage::Complete, e).into()),
                 ],
             ),
             (
                 SiteId(2),
                 vec![
-                    (0, 300, SpanRec::new(SpanStage::Deliver, e)),
-                    (1, 310, SpanRec::new(SpanStage::Apply, e)),
-                    (2, 560, SpanRec::new(SpanStage::Complete, e)),
+                    (0, 300, SpanRec::new(SpanStage::Deliver, e).into()),
+                    (1, 310, SpanRec::new(SpanStage::Apply, e).into()),
+                    (2, 560, SpanRec::new(SpanStage::Complete, e).into()),
                 ],
             ),
         ]
@@ -418,7 +430,7 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let ring = SpanRing::new(3);
         for i in 0..5u64 {
-            ring.record(i, SpanRec::new(SpanStage::Apply, EtId(i)));
+            ring.record(i, SpanRec::new(SpanStage::Apply, EtId(i)).into());
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
@@ -430,16 +442,34 @@ mod tests {
     #[test]
     fn query_filters_by_et_but_always_yields_horizons() {
         let ring = SpanRing::new(16);
-        ring.record(0, SpanRec::new(SpanStage::Apply, EtId(1)));
-        ring.record(1, SpanRec::new(SpanStage::Apply, EtId(2)));
+        ring.record(0, SpanRec::new(SpanStage::Apply, EtId(1)).into());
+        ring.record(1, SpanRec::new(SpanStage::Apply, EtId(2)).into());
         ring.record(
             2,
-            SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(0))),
+            SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(0))).into(),
         );
+        // Site events carry no ET, yet must never pass a per-ET filter.
+        ring.record(3, Event::CkptCut { covered: 2 });
+        ring.record(4, Event::ViewChange { view: 1 });
         let one = ring.query(1);
         assert_eq!(one.len(), 2, "et1 apply + the horizon span");
-        assert!(one.iter().any(|(_, _, r)| r.et.is_none()));
-        assert_eq!(ring.query(SPAN_QUERY_ALL).len(), 3);
+        assert!(one
+            .iter()
+            .any(|(_, _, ev)| matches!(ev, Event::Span(r) if r.et.is_none())));
+        assert_eq!(ring.query(SPAN_QUERY_ALL).len(), 5);
+    }
+
+    #[test]
+    fn merge_skips_site_events() {
+        let mut dump = three_site_dump();
+        let plain = merge_timeline(&dump, et());
+        let hello = Event::Hello {
+            site: SiteId(0),
+            epoch: 1,
+        };
+        dump[1].1.insert(0, (9, 8_000, hello));
+        dump[2].1.push((9, 900, Event::CkptCut { covered: 1 }));
+        assert_eq!(merge_timeline(&dump, et()), plain);
     }
 
     #[test]
@@ -468,7 +498,7 @@ mod tests {
         let mut dump = three_site_dump();
         // s2 sees the MSet twice (at-least-once link): second deliver
         // record must not appear in the timeline.
-        dump[2].1.push((3, 999, SpanRec::new(SpanStage::Deliver, et())));
+        dump[2].1.push((3, 999, SpanRec::new(SpanStage::Deliver, et()).into()));
         let timeline = merge_timeline(&dump, et());
         let delivers = timeline
             .iter()
@@ -485,13 +515,13 @@ mod tests {
         let dump = vec![(
             SiteId(0),
             vec![
-                (0, 10, SpanRec::new(SpanStage::Submit, e)),
-                (1, 20, SpanRec::new(SpanStage::Apply, e).with_version(Some(v3))),
+                (0, 10, SpanRec::new(SpanStage::Submit, e).into()),
+                (1, 20, SpanRec::new(SpanStage::Apply, e).with_version(Some(v3)).into()),
                 // Below the ET's version: not its visibility moment.
-                (2, 30, SpanRec::vtnc(SpanStage::Vtnc, v2)),
-                (3, 40, SpanRec::vtnc(SpanStage::Vtnc, v3)),
+                (2, 30, SpanRec::vtnc(SpanStage::Vtnc, v2).into()),
+                (3, 40, SpanRec::vtnc(SpanStage::Vtnc, v3).into()),
                 // Later horizon: redundant for this ET.
-                (4, 50, SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(9, ClientId(0)))),
+                (4, 50, SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(9, ClientId(0))).into()),
             ],
         )];
         let timeline = merge_timeline(&dump, e);
@@ -510,8 +540,8 @@ mod tests {
         // s2 crashed after applying: its ring died, recovery re-emitted
         // the hop as a replay span.
         dump[2].1 = vec![
-            (0, 700, SpanRec::new(SpanStage::Replay, e)),
-            (1, 710, SpanRec::new(SpanStage::Complete, e)),
+            (0, 700, SpanRec::new(SpanStage::Replay, e).into()),
+            (1, 710, SpanRec::new(SpanStage::Complete, e).into()),
         ];
         let timeline = merge_timeline(&dump, e);
         let s2_replay = timeline

@@ -25,7 +25,7 @@ use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
-use esr_runtime::RpcClient;
+use esr_runtime::{RpcClient, SPAN_QUERY_ALL};
 
 const USAGE: &str = "\
 usage: esrctl --dir <path> --site <i> <command>
@@ -36,6 +36,8 @@ commands:
   audit
   metrics
   trace
+      prints the site's event ring, oldest first: every span plus the
+      boot, checkpoint, view, peer and client events
   spans <et> [--skeleton]
       scrapes every site's span ring (discovered from the cluster
       directory; --site is ignored) and prints the ET's merged causal
@@ -205,13 +207,16 @@ fn run(client: &mut RpcClient, command: &str, args: &[String]) -> std::io::Resul
             write!(out, "{}", client.metrics()?)?;
         }
         "trace" => {
-            let (dropped, events) = client.trace()?;
+            let (dropped, events) = client.spans(SPAN_QUERY_ALL)?;
             if dropped > 0 {
                 eprintln!("(ring dropped {dropped} older events)");
             }
+            // Stamps print relative to the oldest retained event, as in
+            // `esrctl spans`.
+            let base = events.first().map_or(0, |e| e.1);
             let mut out = std::io::stdout().lock();
-            for (seq, micros, component, message) in events {
-                writeln!(out, "{seq}\t{micros}us\t{component}\t{message}")?;
+            for (seq, micros, event) in events {
+                writeln!(out, "{seq}\t+{}us\t{event}", micros.saturating_sub(base))?;
             }
         }
         "audit" => {

@@ -21,7 +21,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use esr::core::{ObjectId, ObjectOp, Operation, SiteId};
-use esr::runtime::{ProcCluster, RtMethod};
+use esr::replica::span::Event;
+use esr::runtime::{ProcCluster, RtMethod, SPAN_QUERY_ALL};
 use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
@@ -67,7 +68,7 @@ fn certify_cluster(c: &ProcCluster) {
     let traces: Vec<SiteTrace> = (0..N)
         .map(|s| {
             let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
+                .spans_of(SiteId(s as u64), SPAN_QUERY_ALL)
                 .unwrap_or_else(|e| panic!("trace of site {s}: {e}"));
             SiteTrace::from_dump(s as u64, dropped, events)
         })
@@ -181,13 +182,15 @@ fn wiped_site_rejoins_via_snapshot_catch_up() {
     assert!(c.converged().expect("converged after rejoin"));
 
     // The rejoin really went through the wire catch-up + restore path.
-    let (_, events) = c.trace_of(SiteId(1)).expect("trace of rejoined site");
+    let (_, events) = c
+        .spans_of(SiteId(1), SPAN_QUERY_ALL)
+        .expect("trace of rejoined site");
     assert!(
-        events.iter().any(|(_, _, comp, msg)| comp == "ckpt" && msg.contains("catch-up")),
+        events.iter().any(|(_, _, ev)| matches!(ev, Event::CatchUp { .. })),
         "rejoined site should record a catch-up event: {events:?}"
     );
     assert!(
-        events.iter().any(|(_, _, comp, msg)| comp == "ckpt" && msg.contains("restore")),
+        events.iter().any(|(_, _, ev)| matches!(ev, Event::CkptRestore { .. })),
         "rejoined site should restore from the fetched snapshot"
     );
     let status = c.status_of(SiteId(1)).expect("status after rejoin");

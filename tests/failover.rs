@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
-use esr::runtime::{ProcCluster, RtMethod};
+use esr::runtime::{ProcCluster, RtMethod, SPAN_QUERY_ALL};
 use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
@@ -158,7 +158,7 @@ fn certify_cluster(c: &ProcCluster, method: RtMethod) {
     let traces: Vec<SiteTrace> = (0..N)
         .map(|s| {
             let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
+                .spans_of(SiteId(s as u64), SPAN_QUERY_ALL)
                 .unwrap_or_else(|e| panic!("{method:?}: trace of site {s}: {e}"));
             SiteTrace::from_dump(s as u64, dropped, events)
         })

@@ -15,7 +15,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
-use esr::runtime::{ProcCluster, RtMethod};
+use esr::runtime::{ProcCluster, RtMethod, SPAN_QUERY_ALL};
 use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
@@ -112,7 +112,7 @@ fn expected_final(method: RtMethod) -> BTreeMap<ObjectId, Value> {
     m
 }
 
-/// Dumps every site's EventRing and runs the replication-aware trace
+/// Dumps every site's event ring and runs the replication-aware trace
 /// certifier over the quiesced cluster: the per-method visibility and
 /// convergence specs must hold on the *live* run's own evidence, not
 /// just on the final snapshots.
@@ -120,7 +120,7 @@ fn certify_cluster(c: &ProcCluster, method: RtMethod, n: usize) {
     let traces: Vec<SiteTrace> = (0..n)
         .map(|s| {
             let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
+                .spans_of(SiteId(s as u64), SPAN_QUERY_ALL)
                 .unwrap_or_else(|e| panic!("{method:?}: trace of site {s}: {e}"));
             SiteTrace::from_dump(s as u64, dropped, events)
         })
