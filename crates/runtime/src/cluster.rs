@@ -1,30 +1,40 @@
 //! A thread-per-site replicated cluster with real concurrency.
 //!
 //! Where [`esr_replica::SimCluster`] runs the protocols under a
-//! deterministic virtual clock, this runtime runs the *same site state
-//! machines* on real OS threads connected by channels — the shape a
-//! production deployment would take (one process per site, one queue per
-//! link). Updates propagate asynchronously: `submit_update` returns as
-//! soon as the MSets are enqueued, queries run against whichever state
-//! the local replica has, and `quiesce` waits for the system to settle —
-//! at which point all replicas are identical, the ESR convergence
-//! guarantee.
+//! deterministic virtual clock, this runtime runs the control plane the
+//! `esrd` daemon and the model checker run — one [`NodeCore`] per site —
+//! on real OS threads connected by channels. Each site thread is an
+//! in-process executor of its core, under the daemon's contract: it
+//! feeds the core client submits, client decisions and peer frames, and
+//! executes the returned [`Effect`]s in order. Updates propagate
+//! asynchronously: `submit_update` returns once the origin has applied
+//! the update and queued it for its peers, queries run against whichever
+//! state the local replica has, and `quiesce` waits for the system to
+//! settle — at which point all replicas are identical, the ESR
+//! convergence guarantee.
+//!
+//! The cores never see a `Tick` or `Checkpoint` event, so no view
+//! change ever starts: the view stays 0, site 0 coordinates, and the
+//! `RecordView` / `Checkpoint` effects never occur (the executor
+//! ignores them).
 //!
 //! Clusters built with [`Cluster::chaos`] additionally route every
-//! update through the fault-injection relays of [`crate::chaos`]
+//! update MSet through the fault-injection relays of [`crate::chaos`]
 //! (seeded drops, duplicates, partition windows, durable at-least-once
-//! queues) and support [`Cluster::crash`] / [`Cluster::restart`], with
-//! recovery driven by the per-site journal and shared control log of
-//! [`crate::recovery`].
+//! queues), journal accepted MSets, and support [`Cluster::crash`] /
+//! [`Cluster::restart`]. Control frames go straight into the target
+//! site's channel (DESIGN.md §10). A restarted site recovers the way a
+//! rebooted daemon does: [`NodeCore::recover`] over its journal, then a
+//! `Hello` to every peer, which the coordinator answers with its view
+//! snapshot.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::atomic::AtomicCell;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
@@ -33,12 +43,15 @@ use esr_core::value::Value;
 use esr_obs::{GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::wire::encode_mset;
+use esr_replica::span::Event;
+use esr_replica::wire::{encode_mset, Frame};
 use esr_sim::probe;
 use esr_storage::stable_queue::EntryId;
 
 use crate::chaos::{self, ChaosStats, FaultPlan, RelayHandle, RelayMsg, TraceEvent};
-use crate::recovery::{ApplyJournal, ControlLog, Decision};
+use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
+use crate::recovery::ApplyJournal;
+use crate::spans::{RawSpan, SpanRing, SPAN_QUERY_ALL};
 use crate::state::{RtMethod, SiteAudit, SiteState};
 
 /// Logical shared-memory location namespace for the per-site protocol
@@ -47,6 +60,9 @@ use crate::state::{RtMethod, SiteAudit, SiteState};
 /// is only ever touched by its owning site thread — any cross-thread
 /// access without a happens-before edge is a race finding).
 const SITE_STATE_LOC: u64 = 1 << 48;
+
+/// The coordinator of view 0, the only view the thread cluster runs.
+const COORDINATOR: SiteId = SiteId(0);
 
 /// A quiesce wait that did not settle before its deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,11 +74,12 @@ pub struct QuiesceTimeout {
     /// runtime). `None` when the site could not be reached — usually
     /// the site that is wedging the quiesce.
     pub site_queues: Vec<Option<u64>>,
-    /// Which site reported holding the coordinator role at the
-    /// deadline (process runtime; the thread runtime pins the role to
-    /// site 0 and reports `None`). A timeout with no reachable
-    /// coordinator usually means the killed coordinator was never
-    /// restarted and no surviving site suspected it yet.
+    /// Which site held the coordinator role at the deadline: the
+    /// elected coordinator that answered (process runtime), or site 0
+    /// while it is up (thread runtime, which never changes view). A
+    /// timeout with no reachable coordinator usually means the killed
+    /// coordinator was never restarted and no surviving site suspected
+    /// it yet.
     pub coordinator: Option<SiteId>,
 }
 
@@ -110,25 +127,33 @@ pub enum RtCanary {
     /// declared `EpsilonSpec` — the epsilon-accounting oracle must flag
     /// admitted queries whose charge exceeds their declared bound.
     EpsilonIgnored,
-    /// The tracker certifies a VTNC advance on the *first* site ack
-    /// instead of waiting for all sites — the VTNC-safety oracle must
-    /// flag advances past a site's installed prefix.
+    /// The coordinator certifies a VTNC advance on the *first* site ack
+    /// instead of waiting for all sites (the cores run with
+    /// [`CtrlCanary::StaleVtncCert`] armed) — the VTNC-safety oracle
+    /// must flag advances past a site's installed prefix.
     VtncEagerCertify,
 }
 
+/// A relay's handle for acknowledging one delivered queue entry.
+type RelayAck = (Sender<RelayMsg>, EntryId);
+
 enum SiteMsg {
-    Deliver(MSet),
-    /// A relay-delivered MSet under chaos: journal, apply, then ack back
-    /// through `ack` so the relay can retire the durable entry.
-    ChaosDeliver {
+    /// A peer-plane frame. A relay-delivered MSet (chaos) carries its
+    /// relay's ack handle: the site acks once the step's effects ran,
+    /// so the relay retires only journalled and applied entries.
+    Peer(Frame, Option<RelayAck>),
+    /// Client plane: an update submitted at this site. `done` fires
+    /// once the step ran (see [`Cluster::client_request`]).
+    Submit {
         mset: MSet,
-        entry: EntryId,
-        ack: Sender<RelayMsg>,
+        done: Sender<()>,
     },
-    Complete(EtId),
-    AdvanceVtnc(VersionTs),
-    Commit(EtId),
-    Abort(EtId),
+    /// Client plane: a COMPE commit/abort decision.
+    Decide {
+        et: EtId,
+        commit: bool,
+        done: Sender<()>,
+    },
     Query {
         read_set: Vec<ObjectId>,
         epsilon: EpsilonSpec,
@@ -147,30 +172,39 @@ enum SiteMsg {
     Audit {
         reply: Sender<SiteAudit>,
     },
-    /// Tear the site thread down mid-stream (chaos): everything still in
-    /// the channel is lost, exactly like a process kill; durable state
-    /// (journal) survives for [`Cluster::restart`].
+    /// The incarnation's event ring: `(dropped, events)`.
+    Spans {
+        reply: Sender<(u64, Vec<RawSpan>)>,
+    },
+    /// End the incarnation mid-stream (chaos), as a process kill
+    /// would: its core and event ring are dropped, and peer traffic
+    /// sent until [`SiteMsg::Restart`] is lost; the journal survives.
     Crash,
+    /// Boot the next incarnation of a crashed site.
+    Restart,
     Shutdown,
 }
 
-enum TrackerMsg {
-    Applied { et: EtId, version: Option<VersionTs> },
-    Shutdown,
+impl SiteMsg {
+    /// Client requests outlive a crash: they wait in the channel for
+    /// the next incarnation, the way a retrying client would.
+    fn is_client_request(&self) -> bool {
+        matches!(self, SiteMsg::Submit { .. } | SiteMsg::Decide { .. })
+    }
 }
 
-type SharedSenders = Arc<RwLock<Vec<Sender<SiteMsg>>>>;
-
-/// Everything a site thread needs besides its receiver; bundled so
-/// [`Cluster::restart`] can respawn a site with identical wiring.
-#[derive(Clone)]
+/// Everything a site thread needs besides its receiver.
 struct SiteSpawn {
     method: RtMethod,
     audit: bool,
     canary: RtCanary,
-    tracker: Option<Sender<TrackerMsg>>,
-    /// Journal path + shared control log; `Some` only under chaos.
-    chaos: Option<(PathBuf, Arc<ControlLog>)>,
+    /// Every site's channel, indexed by site id.
+    sites: Arc<Vec<Sender<SiteMsg>>>,
+    /// Chaos only: the relay into each directed link, indexed
+    /// `from * n + to` (`None` on the diagonal; empty otherwise).
+    relays: Arc<Vec<Option<Sender<RelayMsg>>>>,
+    /// Chaos only: the journal path.
+    journal: Option<PathBuf>,
     /// Shared registry: each incarnation of a site re-registers the same
     /// series (same labels → same cells), so counters survive
     /// crash/restart cycles.
@@ -180,9 +214,8 @@ struct SiteSpawn {
 /// The chaos machinery attached to a cluster built with
 /// [`Cluster::chaos`].
 struct ChaosRuntime {
-    /// Relay per directed link, indexed `from * n + to`.
+    /// One relay per directed link between distinct sites.
     relays: Vec<RelayHandle>,
-    control: Arc<ControlLog>,
     crashes: u64,
     restarts: u64,
 }
@@ -205,12 +238,13 @@ struct ChaosRuntime {
 /// ```
 pub struct Cluster {
     method: RtMethod,
-    /// Senders shared with the tracker and the relays so
-    /// [`Cluster::restart`] can swap a crashed site's channel in place.
-    site_senders: SharedSenders,
+    /// Every site's channel. A channel outlives its site's crashes, so
+    /// client requests sent to a down site wait for its restart.
+    sites: Arc<Vec<Sender<SiteMsg>>>,
     site_threads: Vec<Option<JoinHandle<()>>>,
-    tracker_sender: Option<Sender<TrackerMsg>>,
-    tracker_thread: Option<JoinHandle<()>>,
+    /// Sites crashed and not yet restarted: rendezvous with them fail
+    /// fast instead of waiting for the restart.
+    down: Vec<bool>,
     sequencer: AtomicCell,
     version_clock: AtomicCell,
     // Instrumented (an ET allocation is a preemption point): concurrent
@@ -218,7 +252,6 @@ pub struct Cluster {
     // race the explorer cannot replay.
     next_et: AtomicCell,
     n: usize,
-    spawn_cfg: SiteSpawn,
     chaos: Option<ChaosRuntime>,
     metrics: MetricsRegistry,
     /// `esr_divergence{site}`: objects where the site's quiesced value
@@ -230,242 +263,258 @@ pub struct Cluster {
     queue_depth_gauge: GaugeFamily,
 }
 
+/// Wall-clock micros for event stamps (observational only).
+fn now_micros() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_micros() as u64)
+}
+
+/// One incarnation of a site: its core and the world the core's
+/// effects act on.
+struct SiteExec<'a> {
+    core: NodeCore,
+    cfg: &'a SiteSpawn,
+    journal: Option<ApplyJournal>,
+    events: SpanRing,
+    /// Duplicates suppressed by this site's earlier incarnations: the
+    /// audit's chaos counters span the site's lifetime, like its
+    /// journal.
+    redelivered_before: u64,
+    /// Logical location of this site's protocol state for the race
+    /// detector: only this thread may touch it.
+    state_loc: u64,
+}
+
+impl<'a> SiteExec<'a> {
+    /// Boots incarnation `epoch` of site `i` the way a daemon boots:
+    /// replay the journal through [`NodeCore::recover`], execute its
+    /// effects (re-announcing the recovered applies), and — after a
+    /// crash — greet every peer so the coordinator answers with its view
+    /// snapshot, or, when this site is the coordinator, the peers
+    /// re-announce their evidence.
+    fn boot(i: usize, epoch: u64, redelivered_before: u64, cfg: &'a SiteSpawn) -> Self {
+        let site = SiteId(i as u64);
+        let n = cfg.sites.len();
+        let mut state = SiteState::new(cfg.method, site);
+        state.attach_metrics(SiteInstruments::for_site(
+            &cfg.metrics,
+            cfg.method.name(),
+            site.raw(),
+        ));
+        if cfg.audit {
+            state.enable_audit();
+        }
+        let journal = cfg.journal.as_ref().map(|path| {
+            ApplyJournal::open(path)
+                .unwrap_or_else(|e| panic!("open site journal {}: {e}", path.display()))
+        });
+        let replay = journal
+            .as_ref()
+            .map(ApplyJournal::replay)
+            .unwrap_or_default();
+        cfg.metrics
+            .counter("esr_recovery_replays_total", &[("site", &i.to_string())])
+            .add(replay.len() as u64);
+        let events = SpanRing::default();
+        events.record(
+            now_micros(),
+            Event::Boot {
+                epoch,
+                view: 0,
+                replayed: replay.len() as u64,
+                snapshot: None,
+            },
+        );
+        let canary =
+            (cfg.canary == RtCanary::VtncEagerCertify).then_some(CtrlCanary::StaleVtncCert);
+        let (core, effects) = NodeCore::recover(state, cfg.method, site, n, canary, 0, replay);
+        let mut exec = Self {
+            core,
+            cfg,
+            journal,
+            events,
+            redelivered_before,
+            state_loc: SITE_STATE_LOC + i as u64,
+        };
+        probe::mem_write(exec.state_loc);
+        exec.perform(effects);
+        if epoch > 1 {
+            for to in exec.peers() {
+                exec.send(to, Frame::Hello { site, epoch });
+            }
+        }
+        exec
+    }
+
+    /// Every other site, in id order.
+    fn peers(&self) -> impl Iterator<Item = SiteId> {
+        let me = self.core.site;
+        (0..self.cfg.sites.len() as u64)
+            .map(SiteId)
+            .filter(move |&to| to != me)
+    }
+
+    /// Executes effects in order, as the daemon does.
+    fn perform(&mut self, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Journal(mset) => {
+                    if let Some(j) = &mut self.journal {
+                        j.record(&mset);
+                    }
+                }
+                Effect::Send { to, frame } => self.send(to, frame),
+                Effect::Event(ev) => self.events.record(now_micros(), ev),
+                // Never emitted here: the cores see no Tick or
+                // Checkpoint event (see the module docs).
+                Effect::RecordView(_) | Effect::Checkpoint(_) => {}
+            }
+        }
+    }
+
+    /// An MSet rides the chaos relay of its link when there is one;
+    /// every other frame goes straight into the target's channel.
+    fn send(&self, to: SiteId, frame: Frame) {
+        let to = to.raw() as usize;
+        let link = self.core.site.raw() as usize * self.cfg.sites.len() + to;
+        match (frame, self.cfg.relays.get(link)) {
+            (Frame::MSet(mset), Some(Some(relay))) => {
+                let _ = relay.send(RelayMsg::Send(encode_mset(&mset)));
+            }
+            (frame, _) => {
+                let _ = self.cfg.sites[to].send(SiteMsg::Peer(frame, None));
+            }
+        }
+    }
+
+    fn step(&mut self, event: NodeEvent) {
+        probe::mem_write(self.state_loc);
+        if let Some(event) = self.bypass_sequencer(event) {
+            let effects = self.core.step(event);
+            self.perform(effects);
+        }
+    }
+
+    /// The [`RtCanary::OrdupSequencerDisabled`] hook: ORDUP applies
+    /// MSets in raw arrival order, bypassing the hold-back, so the
+    /// global-order oracle must flag the gaps. The origin still fans its
+    /// submission out. Returns the event when the hook does not apply.
+    fn bypass_sequencer(&mut self, event: NodeEvent) -> Option<NodeEvent> {
+        if self.cfg.canary != RtCanary::OrdupSequencerDisabled {
+            return Some(event);
+        }
+        let mset = match event {
+            NodeEvent::ClientSubmit(mset) => {
+                for to in self.peers() {
+                    self.send(to, Frame::MSet(mset.clone()));
+                }
+                mset
+            }
+            NodeEvent::PeerFrame(Frame::MSet(mset)) => mset,
+            other => return Some(other),
+        };
+        if let SiteState::Ordup(s) = &mut self.core.state {
+            s.apply_unchecked(mset);
+        }
+        None
+    }
+
+    /// Handles one message; `Some` carries the message that ends the
+    /// incarnation ([`SiteMsg::Crash`] or [`SiteMsg::Shutdown`]).
+    fn handle(&mut self, msg: SiteMsg) -> Option<SiteMsg> {
+        match msg {
+            SiteMsg::Peer(frame, ack) => {
+                self.step(NodeEvent::PeerFrame(frame));
+                if let Some((relay, entry)) = ack {
+                    let _ = relay.send(RelayMsg::Ack { entry });
+                }
+            }
+            SiteMsg::Submit { mset, done } => {
+                self.step(NodeEvent::ClientSubmit(mset));
+                let _ = done.send(());
+            }
+            SiteMsg::Decide { et, commit, done } => {
+                self.step(NodeEvent::ClientDecision { et, commit });
+                let _ = done.send(());
+            }
+            SiteMsg::Query {
+                read_set,
+                epsilon,
+                reply,
+            } => {
+                probe::mem_write(self.state_loc);
+                // Canary: ignore the declared budget — the
+                // epsilon-accounting oracle must flag admitted queries
+                // whose charge exceeds the spec the client declared.
+                let spec = if self.cfg.canary == RtCanary::EpsilonIgnored {
+                    EpsilonSpec::UNBOUNDED
+                } else {
+                    epsilon
+                };
+                let mut counter = InconsistencyCounter::new(spec);
+                let _ = reply.send(self.core.state.query(&read_set, &mut counter));
+            }
+            SiteMsg::Snapshot { reply } => {
+                probe::mem_read(self.state_loc);
+                let _ = reply.send(self.core.state.snapshot());
+            }
+            SiteMsg::Settled { reply } => {
+                probe::mem_read(self.state_loc);
+                let _ = reply.send(self.core.state.settled());
+            }
+            SiteMsg::HasApplied { et, reply } => {
+                probe::mem_read(self.state_loc);
+                let _ = reply.send(self.core.state.has_applied(et));
+            }
+            SiteMsg::Audit { reply } => {
+                probe::mem_read(self.state_loc);
+                let mut a = self.core.state.audit();
+                a.redelivered += self.redelivered_before;
+                a.journaled = self.journal.as_ref().map_or(0, ApplyJournal::entries);
+                let _ = reply.send(a);
+            }
+            SiteMsg::Spans { reply } => {
+                let _ = reply.send((self.events.dropped(), self.events.query(SPAN_QUERY_ALL)));
+            }
+            SiteMsg::Restart => {}
+            end @ (SiteMsg::Crash | SiteMsg::Shutdown) => return Some(end),
+        }
+        None
+    }
+}
+
+/// Runs site `i` for the cluster's lifetime: one incarnation after
+/// another. While crashed, the thread holds no protocol state: peer
+/// traffic dies with the incarnation and client requests wait for the
+/// restart.
 fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn) -> JoinHandle<()> {
-    let id = SiteId(i as u64);
     std::thread::Builder::new()
         .name(format!("esr-site-{i}"))
         .spawn(move || {
-            let SiteSpawn {
-                method,
-                audit,
-                canary,
-                tracker,
-                chaos,
-                metrics,
-            } = cfg;
-            let mut state = SiteState::new(method, id);
-            state.attach_metrics(SiteInstruments::for_site(
-                &metrics,
-                method.name(),
-                id.raw(),
-            ));
-            let replays = metrics.counter(
-                "esr_recovery_replays_total",
-                &[("site", &id.raw().to_string())],
-            );
-            if audit {
-                state.enable_audit();
-            }
-            // Chaos recovery: rebuild from the durable journal (every
-            // MSet this incarnation or a predecessor accepted), then
-            // replay the control log to recover broadcasts that died
-            // with a crashed predecessor's channel. Journal replay must
-            // NOT re-notify the tracker — it already counted these
-            // applies before the crash.
-            let mut journal: Option<ApplyJournal> = None;
-            let mut journaled: HashSet<EtId> = HashSet::new();
-            if let Some((journal_path, control)) = &chaos {
-                let j = ApplyJournal::open(journal_path).unwrap_or_else(|e| {
-                    panic!("open site journal {}: {e}", journal_path.display())
-                });
-                for mset in j.replay() {
-                    journaled.insert(mset.et);
-                    state.deliver(mset);
-                    replays.inc();
+            let mut waiting: Vec<SiteMsg> = Vec::new();
+            let mut redelivered = 0;
+            for epoch in 1.. {
+                let mut exec = SiteExec::boot(i, epoch, redelivered, &cfg);
+                let mut end = None;
+                for msg in waiting.drain(..).chain(rx.iter()) {
+                    end = exec.handle(msg);
+                    if end.is_some() {
+                        break;
+                    }
                 }
-                state.replay_control(&control.snapshot());
-                journal = Some(j);
-            }
-            // Logical location of this site's protocol state for
-            // the race detector: only this thread may touch it.
-            let state_loc = SITE_STATE_LOC + i as u64;
-            // One message may be carried over from a drain that
-            // stopped at a non-matching message.
-            let mut carried: Option<SiteMsg> = None;
-            loop {
-                let msg = match carried.take() {
-                    Some(m) => m,
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                };
-                match msg {
-                    SiteMsg::Deliver(mset) => {
-                        // Drain the run of deliveries already
-                        // queued behind this one so the site
-                        // absorbs them through the method's
-                        // batch fast path; the first
-                        // non-delivery stops the run and is
-                        // processed next, preserving order.
-                        let mut batch = vec![mset];
-                        loop {
-                            match rx.try_recv() {
-                                Ok(SiteMsg::Deliver(m)) => batch.push(m),
-                                Ok(other) => {
-                                    carried = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        // ETs this batch may newly apply, deduped
-                        // in arrival order (a duplicate delivery
-                        // must not produce a second ack).
-                        let mut candidates: Vec<(EtId, Option<VersionTs>)> = Vec::new();
-                        for m in &batch {
-                            if state.has_applied(m.et)
-                                || candidates.iter().any(|(e, _)| *e == m.et)
-                            {
-                                continue;
-                            }
-                            let version = m
-                                .ops
-                                .iter()
-                                .filter_map(|o| match &o.op {
-                                    Operation::TimestampedWrite(ts, _) => Some(*ts),
-                                    _ => None,
-                                })
-                                .max();
-                            candidates.push((m.et, version));
-                        }
-                        probe::mem_write(state_loc);
-                        match (&mut state, canary) {
-                            // Canary: bypass the ORDUP hold-back
-                            // and apply in raw arrival order —
-                            // the global-order oracle must flag
-                            // the resulting sequence gaps.
-                            (
-                                SiteState::Ordup(s),
-                                RtCanary::OrdupSequencerDisabled,
-                            ) => {
-                                for m in batch.drain(..) {
-                                    s.apply_unchecked(m);
-                                }
-                            }
-                            _ => {
-                                if batch.len() == 1 {
-                                    if let Some(single) = batch.pop() {
-                                        state.deliver(single);
-                                    }
-                                } else {
-                                    state.deliver_batch(batch);
-                                }
-                            }
-                        }
-                        if let Some(t) = &tracker {
-                            for (et, version) in candidates {
-                                if state.has_applied(et) {
-                                    let _ = t.send(TrackerMsg::Applied { et, version });
-                                }
-                            }
-                        }
+                redelivered += exec.core.state.redelivered();
+                drop(exec);
+                if !matches!(end, Some(SiteMsg::Crash)) {
+                    return;
+                }
+                loop {
+                    match rx.recv() {
+                        Ok(SiteMsg::Restart) => break,
+                        Ok(SiteMsg::Shutdown) | Err(_) => return,
+                        Ok(msg) if msg.is_client_request() => waiting.push(msg),
+                        Ok(_) => {}
                     }
-                    SiteMsg::ChaosDeliver { mset, entry, ack } => {
-                        probe::mem_write(state_loc);
-                        let et = mset.et;
-                        // Write-ahead: journal before applying, so an
-                        // acked entry is never lost to a crash. The
-                        // `journaled` set (not `has_applied`) gates the
-                        // append — an ORDUP MSet can be journalled yet
-                        // still held back.
-                        if !journaled.contains(&et) {
-                            if let Some(j) = &mut journal {
-                                j.record(&mset);
-                            }
-                            journaled.insert(et);
-                        }
-                        let before = state.has_applied(et);
-                        let version = mset
-                            .ops
-                            .iter()
-                            .filter_map(|o| match &o.op {
-                                Operation::TimestampedWrite(ts, _) => Some(*ts),
-                                _ => None,
-                            })
-                            .max();
-                        state.deliver(mset);
-                        // Notify the tracker only on the transition to
-                        // applied: duplicates and journal replays must
-                        // not inflate the per-ET ack count.
-                        if !before && state.has_applied(et) {
-                            if let Some(t) = &tracker {
-                                let _ = t.send(TrackerMsg::Applied { et, version });
-                            }
-                        }
-                        // Ack-after-journal+apply: the relay may now
-                        // retire the durable entry.
-                        let _ = ack.send(RelayMsg::Ack { entry });
-                    }
-                    SiteMsg::Complete(et) => {
-                        probe::mem_write(state_loc);
-                        state.complete(et);
-                    }
-                    SiteMsg::AdvanceVtnc(ts) => {
-                        // The horizon is monotone, so a queued
-                        // run of advances collapses to its max.
-                        let mut horizon = ts;
-                        loop {
-                            match rx.try_recv() {
-                                Ok(SiteMsg::AdvanceVtnc(t2)) => {
-                                    horizon = horizon.max(t2);
-                                }
-                                Ok(other) => {
-                                    carried = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        probe::mem_write(state_loc);
-                        state.advance_vtnc(horizon);
-                    }
-                    SiteMsg::Commit(et) => {
-                        probe::mem_write(state_loc);
-                        state.commit(et);
-                    }
-                    SiteMsg::Abort(et) => {
-                        probe::mem_write(state_loc);
-                        state.abort(et);
-                    }
-                    SiteMsg::Query {
-                        read_set,
-                        epsilon,
-                        reply,
-                    } => {
-                        probe::mem_write(state_loc);
-                        // Canary: ignore the declared budget —
-                        // the epsilon-accounting oracle must
-                        // flag admitted queries whose charge
-                        // exceeds the spec the client declared.
-                        let spec = if canary == RtCanary::EpsilonIgnored {
-                            EpsilonSpec::UNBOUNDED
-                        } else {
-                            epsilon
-                        };
-                        let mut counter = InconsistencyCounter::new(spec);
-                        let _ = reply.send(state.query(&read_set, &mut counter));
-                    }
-                    SiteMsg::Snapshot { reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.snapshot());
-                    }
-                    SiteMsg::Settled { reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.settled());
-                    }
-                    SiteMsg::HasApplied { et, reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.has_applied(et));
-                    }
-                    SiteMsg::Audit { reply } => {
-                        probe::mem_read(state_loc);
-                        let mut a = state.audit();
-                        a.journaled = journal.as_ref().map_or(0, ApplyJournal::entries);
-                        let _ = reply.send(a);
-                    }
-                    SiteMsg::Crash => break,
-                    SiteMsg::Shutdown => break,
                 }
             }
         })
@@ -505,140 +554,29 @@ impl Cluster {
     ) -> Self {
         assert!(n > 0);
         let metrics = MetricsRegistry::new();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<SiteMsg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let site_senders: SharedSenders = Arc::new(RwLock::new(senders));
-        let control = Arc::new(ControlLog::new());
-        let chaos_control = chaos.as_ref().map(|_| Arc::clone(&control));
-
-        // Completion tracker (COMMU/RITU lock-counter release): counts
-        // per-ET applies and broadcasts Complete once all sites report.
-        let (tracker_sender, tracker_thread) = if matches!(
-            method,
-            RtMethod::Commu | RtMethod::Ritu | RtMethod::RituMv
-        ) {
-            let (ttx, trx) = unbounded::<TrackerMsg>();
-            let senders = Arc::clone(&site_senders);
-            let control = chaos_control.clone();
-            // VtncEagerCertify canary: certify on the first ack instead
-            // of waiting for every site — the injected defect the
-            // VTNC-safety oracle must catch.
-            let acks_needed = if canary == RtCanary::VtncEagerCertify {
-                1
-            } else {
-                n
-            };
-            let handle = std::thread::Builder::new()
-                .name("esr-tracker".into())
-                .spawn(move || {
-                    let mut counts: BTreeMap<EtId, (usize, Option<VersionTs>)> = BTreeMap::new();
-                    // VTNC certification (RituMv). The atomic version
-                    // clock hands out dense time components (1, 2, 3, …),
-                    // so the horizon advances exactly through the
-                    // contiguous prefix of fully-installed times — a gap
-                    // means some earlier version is still propagating.
-                    let mut fully_installed: BTreeMap<u64, VersionTs> = BTreeMap::new();
-                    let mut next_time: u64 = 1;
-                    while let Ok(msg) = trx.recv() {
-                        match msg {
-                            TrackerMsg::Applied { et, version } => {
-                                let e = counts.entry(et).or_insert((0, version));
-                                e.0 += 1;
-                                if e.0 >= acks_needed {
-                                    let Some((_, version)) = counts.remove(&et) else {
-                                        continue;
-                                    };
-                                    if method == RtMethod::RituMv {
-                                        if let Some(v) = version {
-                                            fully_installed.insert(v.time, v);
-                                            let mut horizon = None;
-                                            while let Some(v) = fully_installed.remove(&next_time)
-                                            {
-                                                horizon = Some(v);
-                                                next_time += 1;
-                                            }
-                                            if let Some(h) = horizon {
-                                                // Log before broadcasting
-                                                // so a site crashing now
-                                                // recovers the notice at
-                                                // restart.
-                                                if let Some(c) = &control {
-                                                    c.note_vtnc(h);
-                                                }
-                                                for s in senders.read().iter() {
-                                                    let _ = s.send(SiteMsg::AdvanceVtnc(h));
-                                                }
-                                            }
-                                        }
-                                    } else {
-                                        if let Some(c) = &control {
-                                            c.note_complete(et);
-                                        }
-                                        for s in senders.read().iter() {
-                                            let _ = s.send(SiteMsg::Complete(et));
-                                        }
-                                    }
-                                }
-                            }
-                            TrackerMsg::Shutdown => break,
-                        }
-                    }
-                })
-                .unwrap_or_else(|e| panic!("spawn tracker thread: {e}"));
-            (Some(ttx), Some(handle))
-        } else {
-            (None, None)
-        };
-
-        let chaos_dir = chaos.as_ref().map(|(_, dir)| {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("create chaos dir {}: {e}", dir.display()));
-            dir.clone()
-        });
-        let spawn_cfg = SiteSpawn {
-            method,
-            audit,
-            canary,
-            tracker: tracker_sender.clone(),
-            chaos: chaos_dir
-                .as_ref()
-                .map(|dir| (dir.clone(), Arc::clone(&control))),
-            metrics: metrics.clone(),
-        };
-        let site_threads = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                let mut cfg = spawn_cfg.clone();
-                if let Some((dir, control)) = cfg.chaos.take() {
-                    cfg.chaos = Some((dir.join(format!("site-{i}.journal")), control));
-                }
-                Some(spawn_site(i, rx, cfg))
-            })
-            .collect();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let sites: Arc<Vec<Sender<SiteMsg>>> = Arc::new(senders);
 
         // Relays: one durable queue + fate planner per directed link
-        // (self-links included — an origin's copy to itself rides the
-        // same machinery, just never partitioned).
+        // between distinct sites (an origin applies its own submission
+        // in the submit step, so there are no self-links).
+        let mut links: Vec<Option<Sender<RelayMsg>>> = Vec::new();
         let chaos = chaos.map(|(plan, dir)| {
-            let mut relays = Vec::with_capacity(n * n);
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("create chaos dir {}: {e}", dir.display()));
+            links.resize(n * n, None);
+            let mut relays = Vec::with_capacity(n * (n - 1));
             for from in 0..n {
-                for to in 0..n {
+                for to in (0..n).filter(|&to| to != from) {
                     let (tx, rx) = unbounded::<RelayMsg>();
+                    links[from * n + to] = Some(tx.clone());
                     let ack_tx = tx.clone();
-                    let senders = Arc::clone(&site_senders);
+                    let site = sites[to].clone();
                     let deliver = move |mset: MSet, entry: EntryId| {
-                        let site = { senders.read()[to].clone() };
-                        site.send(SiteMsg::ChaosDeliver {
-                            mset,
-                            entry,
-                            ack: ack_tx.clone(),
-                        })
+                        site.send(SiteMsg::Peer(
+                            Frame::MSet(mset),
+                            Some((ack_tx.clone(), entry)),
+                        ))
                         .is_ok()
                     };
                     relays.push(chaos::spawn_relay(
@@ -652,26 +590,43 @@ impl Cluster {
                     ));
                 }
             }
-            ChaosRuntime {
-                relays,
-                control,
-                crashes: 0,
-                restarts: 0,
-            }
+            (relays, dir)
         });
+        let links = Arc::new(links);
+
+        let site_threads = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                let cfg = SiteSpawn {
+                    method,
+                    audit,
+                    canary,
+                    sites: Arc::clone(&sites),
+                    relays: Arc::clone(&links),
+                    journal: chaos
+                        .as_ref()
+                        .map(|(_, dir)| dir.join(format!("site-{i}.journal"))),
+                    metrics: metrics.clone(),
+                };
+                Some(spawn_site(i, rx, cfg))
+            })
+            .collect();
 
         Self {
             method,
-            site_senders,
+            sites,
             site_threads,
-            tracker_sender,
-            tracker_thread,
+            down: vec![false; n],
             sequencer: AtomicCell::new(0),
             version_clock: AtomicCell::new(0),
             next_et: AtomicCell::new(1),
             n,
-            spawn_cfg,
-            chaos,
+            chaos: chaos.map(|(relays, _)| ChaosRuntime {
+                relays,
+                crashes: 0,
+                restarts: 0,
+            }),
             divergence_gauge: GaugeFamily::new(&metrics, "esr_divergence"),
             queue_depth_gauge: GaugeFamily::new(&metrics, "esr_site_queue_depth"),
             metrics,
@@ -692,15 +647,11 @@ impl Cluster {
         EtId(self.next_et.fetch_add(1))
     }
 
-    fn sender_of(&self, site: SiteId) -> Sender<SiteMsg> {
-        self.site_senders.read()[site.raw() as usize].clone()
-    }
-
-    /// Submits an update ET originating at `origin`; the MSet fans out to
-    /// every site asynchronously. Returns immediately with the ET id.
-    /// On a chaos cluster the copies travel through the per-link durable
-    /// relays (encoded with the wire codec) instead of being handed to
-    /// the site channels directly.
+    /// Submits an update ET originating at `origin` and returns its id as
+    /// soon as the origin's core has applied the MSet and queued it for
+    /// every peer (through the per-link durable relays on a chaos
+    /// cluster); propagation stays asynchronous. A submission to a
+    /// crashed site returns at once and waits for the restart.
     pub fn submit_update(&self, origin: SiteId, ops: Vec<ObjectOp>) -> EtId {
         let et = self.fresh_et();
         let mset = match self.method {
@@ -710,19 +661,7 @@ impl Cluster {
             }
             _ => MSet::new(et, origin, ops),
         };
-        if let Some(c) = &self.chaos {
-            let bytes = encode_mset(&mset);
-            let from = origin.raw() as usize;
-            for to in 0..self.n {
-                let _ = c.relays[from * self.n + to]
-                    .sender
-                    .send(RelayMsg::Send(bytes.clone()));
-            }
-        } else {
-            for s in self.site_senders.read().iter() {
-                let _ = s.send(SiteMsg::Deliver(mset.clone()));
-            }
-        }
+        self.client_request(origin, |done| SiteMsg::Submit { mset, done });
         et
     }
 
@@ -736,83 +675,90 @@ impl Cluster {
         )
     }
 
-    /// COMPE: broadcasts a commit decision for `et`. Control-plane
-    /// traffic is not chaos-injected, but under chaos the decision is
-    /// logged first so a crashed site recovers it at restart.
+    /// COMPE: decides `et` at the coordinator, which logs the decision
+    /// and queues its broadcast to every peer before this returns. While
+    /// the coordinator is down the decision waits for its restart.
     pub fn commit(&self, et: EtId) {
-        if let Some(c) = &self.chaos {
-            c.control.note_decision(Decision::Commit(et));
-        }
-        for s in self.site_senders.read().iter() {
-            let _ = s.send(SiteMsg::Commit(et));
-        }
+        self.decide(et, true);
     }
 
-    /// COMPE: broadcasts an abort decision for `et` (logged first under
-    /// chaos, like [`Cluster::commit`]).
+    /// COMPE: decides to abort (compensate) `et`, like
+    /// [`Cluster::commit`].
     pub fn abort(&self, et: EtId) {
-        if let Some(c) = &self.chaos {
-            c.control.note_decision(Decision::Abort(et));
-        }
-        for s in self.site_senders.read().iter() {
-            let _ = s.send(SiteMsg::Abort(et));
-        }
+        self.decide(et, false);
     }
 
-    /// Crashes a site: the thread is torn down mid-stream and every
-    /// message still in its channel — deliveries, completion notices,
-    /// pending acks — is lost, as in a process kill. Durable state (the
-    /// site's journal) survives. Only meaningful on chaos clusters;
-    /// relays keep retrying the dead site until [`Cluster::restart`].
-    pub fn crash(&mut self, site: SiteId) {
-        assert!(self.chaos.is_some(), "crash() requires a chaos cluster");
+    fn decide(&self, et: EtId, commit: bool) {
+        self.client_request(COORDINATOR, |done| SiteMsg::Decide { et, commit, done });
+    }
+
+    /// Hands a client request to `site` and, while the site is up, waits
+    /// until its step ran, so the fan-out or broadcast it implies is
+    /// already queued at every peer (an `esrd` reply gives the same
+    /// guarantee). A request to a crashed site waits in its channel for
+    /// the restart; the caller does not.
+    fn client_request(&self, site: SiteId, make: impl FnOnce(Sender<()>) -> SiteMsg) {
         let i = site.raw() as usize;
-        let sender = self.sender_of(site);
-        let _ = sender.send(SiteMsg::Crash);
-        if let Some(h) = self.site_threads[i].take() {
-            let _ = h.join();
-        }
-        if let Some(c) = &mut self.chaos {
-            c.crashes += 1;
+        let (done, acked) = bounded(1);
+        if self.sites[i].send(make(done)).is_ok() && !self.down[i] {
+            let _ = acked.recv();
         }
     }
 
-    /// Restarts a crashed site: a fresh thread rebuilds the replica by
-    /// replaying its durable journal, then the shared control log, and
-    /// finally catches up on everything it missed through the relays'
-    /// ack-timeout re-sends. The new channel is swapped into the shared
-    /// sender table so the tracker and relays reach the new incarnation.
+    /// Crashes a site: its incarnation ends mid-stream and every peer
+    /// message sent to it from then on is lost, as in a process kill.
+    /// Durable state (the site's journal) survives, and so do client
+    /// requests, which wait for [`Cluster::restart`]. Only meaningful on
+    /// chaos clusters; relays keep retrying the dead site until then.
+    ///
+    /// The crash point is fixed by the submission order, not by relay
+    /// timing: every update already handed to a link into the site
+    /// reaches it before the crash.
+    pub fn crash(&mut self, site: SiteId) {
+        let Some(c) = &mut self.chaos else {
+            panic!("crash() requires a chaos cluster");
+        };
+        // A relay answers a status poll only after delivering every
+        // entry queued before it.
+        for r in c.relays.iter().filter(|r| r.to == site) {
+            let _ = r.status();
+        }
+        c.crashes += 1;
+        let i = site.raw() as usize;
+        let _ = self.sites[i].send(SiteMsg::Crash);
+        self.down[i] = true;
+    }
+
+    /// Restarts a crashed site: the next incarnation replays its durable
+    /// journal, greets every peer (the coordinator answers with its view
+    /// snapshot), and catches up on missed updates through the relays'
+    /// ack-timeout re-sends.
     pub fn restart(&mut self, site: SiteId) {
         assert!(self.chaos.is_some(), "restart() requires a chaos cluster");
         let i = site.raw() as usize;
-        assert!(
-            self.site_threads[i].is_none(),
-            "restart() of a site that is still running"
-        );
-        let (tx, rx) = unbounded();
-        self.site_senders.write()[i] = tx;
-        let mut cfg = self.spawn_cfg.clone();
-        if let Some((dir, control)) = cfg.chaos.take() {
-            cfg.chaos = Some((dir.join(format!("site-{i}.journal")), control));
-        }
-        self.site_threads[i] = Some(spawn_site(i, rx, cfg));
+        assert!(self.down[i], "restart() of a site that is still running");
+        let _ = self.sites[i].send(SiteMsg::Restart);
+        self.down[i] = false;
         if let Some(c) = &mut self.chaos {
             c.restarts += 1;
         }
     }
 
     /// One request/reply rendezvous with a site thread. Degrades instead
-    /// of panicking when the site is already down (shutdown or crash
-    /// raced the caller): `fallback` supplies the answer a dead site
-    /// gives.
+    /// of blocking or panicking when the site is down (crashed or shut
+    /// down): `fallback` supplies the answer a dead site gives.
     fn rendezvous<T>(
         &self,
         site: SiteId,
         make: impl FnOnce(Sender<T>) -> SiteMsg,
         fallback: impl FnOnce() -> T,
     ) -> T {
+        let i = site.raw() as usize;
+        if self.down[i] {
+            return fallback();
+        }
         let (tx, rx) = bounded(1);
-        if self.sender_of(site).send(make(tx)).is_err() {
+        if self.sites[i].send(make(tx)).is_err() {
             return fallback();
         }
         rx.recv().unwrap_or_else(|_| fallback())
@@ -820,7 +766,7 @@ impl Cluster {
 
     /// Runs a query ET at one site with the given budget. Blocks only for
     /// the rendezvous with the site thread, not for consistency. A query
-    /// against a shut-down cluster is rejected (never panics).
+    /// against a down or shut-down site is rejected (never panics).
     pub fn query(&self, site: SiteId, read_set: &[ObjectId], epsilon: EpsilonSpec) -> QueryOutcome {
         let read_set = read_set.to_vec();
         self.rendezvous(
@@ -852,7 +798,7 @@ impl Cluster {
         }
     }
 
-    /// A site's full snapshot (empty once the cluster is shut down).
+    /// A site's full snapshot (empty while it is down).
     pub fn snapshot_of(&self, site: SiteId) -> BTreeMap<ObjectId, Value> {
         self.rendezvous(site, |reply| SiteMsg::Snapshot { reply }, BTreeMap::new)
     }
@@ -876,9 +822,17 @@ impl Cluster {
         a
     }
 
-    /// Has `site` applied `et` yet? (`false` once shut down.)
+    /// Has `site` applied `et` yet? (`false` while it is down.)
     pub fn has_applied(&self, site: SiteId, et: EtId) -> bool {
         self.rendezvous(site, |reply| SiteMsg::HasApplied { et, reply }, || false)
+    }
+
+    /// The event ring of `site`'s current incarnation — every typed
+    /// event its core emitted since boot, oldest first — as
+    /// `(dropped, events)`, the input of the trace certifier
+    /// (`esr-check::certify`). Empty while the site is down.
+    pub fn spans_of(&self, site: SiteId) -> (u64, Vec<RawSpan>) {
+        self.rendezvous(site, |reply| SiteMsg::Spans { reply }, || (0, Vec::new()))
     }
 
     /// Aggregated fault counters across every relay, plus crash/restart
@@ -920,8 +874,8 @@ impl Cluster {
     /// additionally requires every relay queue to be drained (all
     /// entries acked), so call [`Cluster::restart`] for any crashed
     /// site first: a dead site can never ack and quiesce would spin.
-    /// Dead sites on a *shut-down* cluster count as settled, so shutdown
-    /// paths always terminate.
+    /// A down site itself answers "settled" (on a shut-down cluster
+    /// that lets shutdown paths terminate).
     ///
     /// Panics if the cluster fails to settle within a generous default
     /// deadline (two minutes) — use [`Cluster::quiesce_within`] to
@@ -943,7 +897,7 @@ impl Cluster {
                 return Err(QuiesceTimeout {
                     waited: start.elapsed(),
                     site_queues: self.sample_queue_depths(),
-                    coordinator: None,
+                    coordinator: (!self.down[COORDINATOR.raw() as usize]).then_some(COORDINATOR),
                 });
             }
             self.sample_queue_depths();
@@ -1021,14 +975,17 @@ impl Cluster {
         self.sample_queue_depths();
     }
 
-    /// Samples every site's inbox depth into `esr_site_queue_depth` and
-    /// returns the depths.
+    /// Samples every running site's inbox depth into
+    /// `esr_site_queue_depth` and returns the depths (`None` for a
+    /// crashed site).
     fn sample_queue_depths(&self) -> Vec<Option<u64>> {
-        self.site_senders
-            .read()
+        self.sites
             .iter()
             .enumerate()
             .map(|(i, s)| {
+                if self.down[i] {
+                    return None;
+                }
                 let depth = s.len() as u64;
                 self.queue_depth_gauge
                     .set(i as u64, i64::try_from(depth).unwrap_or(i64::MAX));
@@ -1050,19 +1007,13 @@ impl Cluster {
                 }
             }
         }
-        for s in self.site_senders.read().iter() {
+        for s in self.sites.iter() {
             let _ = s.send(SiteMsg::Shutdown);
         }
         for h in &mut self.site_threads {
             if let Some(h) = h.take() {
                 let _ = h.join();
             }
-        }
-        if let Some(t) = self.tracker_sender.take() {
-            let _ = t.send(TrackerMsg::Shutdown);
-        }
-        if let Some(h) = self.tracker_thread.take() {
-            let _ = h.join();
         }
     }
 }

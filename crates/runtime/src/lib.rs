@@ -1,18 +1,21 @@
 //! # esr-runtime — thread-per-site concurrent runtime
 //!
 //! The replica control methods of [`esr_replica`] running on real OS
-//! threads: one thread per site, crossbeam channels as the links, an
-//! atomic global sequencer for ORDUP, an atomic version clock for RITU,
-//! and a completion-tracker thread that releases COMMU/RITU
-//! lock-counters. The paper's repro hint calls for "async replicas";
-//! this runtime provides exactly that with the crates available in this
-//! workspace (threads + channels instead of an async executor — the
-//! protocol state machines are identical).
+//! threads. [`ctrl`] holds the pure control plane ([`NodeCore`]) that
+//! every substrate here runs: the thread [`Cluster`] (one thread per
+//! site executing its core's effects over crossbeam channels, an atomic
+//! global sequencer for ORDUP, an atomic version clock for RITU, site 0
+//! coordinating completion, VTNC certification and COMPE decisions),
+//! the `esrd` [`Daemon`] over TCP, and the `esr-check` model. The
+//! paper's repro hint calls for "async replicas"; this runtime provides
+//! exactly that with the crates available in this workspace (threads +
+//! channels instead of an async executor — the protocol state machines
+//! are identical).
 //!
 //! The [`chaos`] module adds a seeded fault-injection transport
 //! (drops, duplicates, partition windows, durable at-least-once link
-//! queues) and [`recovery`] the journal/control-log machinery behind
-//! [`Cluster::crash`] / [`Cluster::restart`].
+//! queues) and [`recovery`] the write-ahead journal behind
+//! [`Cluster::crash`] / [`Cluster::restart`] and daemon restarts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,7 +38,7 @@ pub use cluster::{Cluster, QuiesceTimeout, RtCanary};
 pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
 pub use daemon::{Daemon, DaemonConfig};
 pub use proc_cluster::ProcCluster;
-pub use recovery::{ApplyJournal, ControlLog, Decision};
+pub use recovery::ApplyJournal;
 pub use spans::{
     critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SpanRing, SPAN_QUERY_ALL,
 };

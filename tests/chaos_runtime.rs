@@ -4,11 +4,13 @@
 //! Each scenario routes every update through the durable fault-injection
 //! relays (drops ≈ 25% of attempts, duplicates ≈ 15% of deliveries, one
 //! partition window isolating a site mid-stream), crashes one site in
-//! the middle of the run, restarts it, and then requires the full ESR
-//! guarantee: at quiescence all replicas are identical, and the final
-//! state equals what a fault-free run produces. Counters must prove the
-//! faults actually fired, and the same seed must reproduce byte-identical
-//! fault traces and final snapshots.
+//! the middle of the run — a follower, and for COMMU and COMPE also the
+//! coordinator, site 0 — restarts it, and then requires the full ESR
+//! guarantee: at quiescence all replicas are identical, the final state
+//! equals what a fault-free run produces, and the trace certifier finds
+//! nothing in any site's event ring. Counters must prove the faults
+//! actually fired, and the same seed must reproduce byte-identical fault
+//! traces and final snapshots.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,6 +19,7 @@ use std::time::Duration;
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::faults::{PartitionSchedule, PartitionWindow};
 use esr::runtime::{render_trace, ChaosStats, Cluster, FaultPlan, RtMethod};
+use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
 const Y: ObjectId = ObjectId(1);
@@ -104,29 +107,52 @@ fn submit(c: &Cluster, method: RtMethod, i: u64) -> EtId {
     }
 }
 
-/// Runs the full chaos scenario: phase 1 of updates, crash site 1,
+/// Runs the trace certifier over every site's event ring and requires
+/// a clean verdict.
+fn assert_certified(c: &Cluster, method: RtMethod, context: &str) {
+    let traces: Vec<SiteTrace> = (0..N as u64)
+        .map(|i| {
+            let (dropped, events) = c.spans_of(SiteId(i));
+            SiteTrace::from_dump(i, dropped, events)
+        })
+        .collect();
+    // An empty ring would certify vacuously: every incarnation records
+    // its boot and then its applies.
+    for t in &traces {
+        assert!(
+            t.events.len() > 1,
+            "{method:?} {context}: site {} recorded no protocol events",
+            t.site
+        );
+    }
+    let findings = certify(method, &traces);
+    assert!(
+        findings.is_empty(),
+        "{method:?} {context}: certifier findings: {findings:?}"
+    );
+}
+
+/// Runs the full chaos scenario: phase 1 of updates, crash `crashed`,
 /// phase 2 while it is down (relays buffer durably and re-send), restart,
-/// decide COMPE outcomes, quiesce, and collect everything.
-fn run_scenario(method: RtMethod, seed: u64, tag: &str) -> RunResult {
+/// decide COMPE outcomes, quiesce, certify, and collect everything.
+fn run_scenario(method: RtMethod, crashed: SiteId, seed: u64, tag: &str) -> RunResult {
     let dir = fresh_dir(tag);
     let mut c = Cluster::chaos(method, N, plan(seed), &dir);
     let mut ets = Vec::new();
     for i in 0..PHASE {
         ets.push(submit(&c, method, i));
     }
-    c.crash(SiteId(1));
+    c.crash(crashed);
     for i in PHASE..2 * PHASE {
         ets.push(submit(&c, method, i));
     }
     // Let the ack timeout elapse so the relays demonstrably re-send to
     // the dead site before it comes back (guarantees resends > 0).
     std::thread::sleep(Duration::from_millis(60));
-    c.restart(SiteId(1));
+    c.restart(crashed);
     if method == RtMethod::Compe {
         // Every global update needs a decision before COMPE can settle:
-        // commit even submissions, abort odd ones. Some decisions were
-        // logged while site 1 was down — it recovers them from the
-        // control log.
+        // commit even submissions, abort odd ones.
         for (i, et) in ets.iter().enumerate() {
             if i % 2 == 0 {
                 c.commit(*et);
@@ -136,7 +162,9 @@ fn run_scenario(method: RtMethod, seed: u64, tag: &str) -> RunResult {
         }
     }
     c.quiesce();
-    assert!(c.converged(), "{method:?} seed={seed}: replicas diverged");
+    let context = format!("seed={seed} crashed={}", crashed.raw());
+    assert!(c.converged(), "{method:?} {context}: replicas diverged");
+    assert_certified(&c, method, &context);
     let snapshots: Vec<_> = (0..N)
         .map(|i| c.snapshot_of(SiteId(i as u64)))
         .collect();
@@ -199,14 +227,15 @@ fn expected_final(method: RtMethod) -> BTreeMap<ObjectId, Value> {
     m
 }
 
-fn assert_chaos_scenario(method: RtMethod, tag: &str) {
+fn assert_chaos_scenario(method: RtMethod, crashed: SiteId, tag: &str) {
     let seed = seed();
-    let r = run_scenario(method, seed, tag);
+    let r = run_scenario(method, crashed, seed, tag);
     let expected = expected_final(method);
     for (i, snap) in r.snapshots.iter().enumerate() {
         assert_eq!(
             snap, &expected,
-            "{method:?} seed={seed}: site {i} final state wrong"
+            "{method:?} seed={seed} crashed={}: site {i} final state wrong",
+            crashed.raw()
         );
     }
     // The faults must actually have fired — a chaos test that silently
@@ -225,7 +254,7 @@ fn assert_chaos_scenario(method: RtMethod, tag: &str) {
     assert!(r.journaled >= 2 * PHASE, "{method:?}: journals too thin");
     assert!(r.redelivered > 0, "{method:?}: no duplicate was suppressed");
     // Reproducibility: the same seed yields the same trace and state.
-    let again = run_scenario(method, seed, &format!("{tag}2"));
+    let again = run_scenario(method, crashed, seed, &format!("{tag}2"));
     assert_eq!(r.trace, again.trace, "{method:?} seed={seed}: trace differs");
     assert_eq!(
         r.snapshots, again.snapshots,
@@ -235,29 +264,35 @@ fn assert_chaos_scenario(method: RtMethod, tag: &str) {
 
 #[test]
 fn ordup_survives_chaos_with_crash_restart() {
-    assert_chaos_scenario(RtMethod::Ordup, "ordup");
+    assert_chaos_scenario(RtMethod::Ordup, SiteId(1), "ordup");
 }
 
 #[test]
 fn commu_survives_chaos_with_crash_restart() {
-    assert_chaos_scenario(RtMethod::Commu, "commu");
+    // Site 0 coordinates: its restart rebuilds the completion evidence
+    // from the peers' re-announcements.
+    for crashed in [SiteId(1), SiteId(0)] {
+        assert_chaos_scenario(RtMethod::Commu, crashed, "commu");
+    }
 }
 
 #[test]
 fn ritu_survives_chaos_with_crash_restart() {
-    assert_chaos_scenario(RtMethod::Ritu, "ritu");
+    assert_chaos_scenario(RtMethod::Ritu, SiteId(1), "ritu");
 }
 
 #[test]
 fn compe_survives_chaos_with_crash_restart() {
-    assert_chaos_scenario(RtMethod::Compe, "compe");
+    for crashed in [SiteId(1), SiteId(0)] {
+        assert_chaos_scenario(RtMethod::Compe, crashed, "compe");
+    }
 }
 
 #[test]
 fn ritu_mv_converges_under_chaos_without_crash() {
-    // RITU-MV exercises the tracker-certified VTNC path; run it under
-    // the lossy transport (no crash — the certification horizon then
-    // also catches up, which quiesce does not wait for).
+    // RITU-MV exercises the coordinator-certified VTNC path; run it
+    // under the lossy transport (no crash — the certification horizon
+    // then also catches up, which quiesce does not wait for).
     let seed = seed();
     let dir = fresh_dir("ritumv");
     let c = Cluster::chaos(RtMethod::RituMv, N, plan(seed), &dir);
@@ -272,6 +307,7 @@ fn ritu_mv_converges_under_chaos_without_crash() {
     );
     let stats = c.chaos_stats();
     assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.retries > 0);
+    assert_certified(&c, RtMethod::RituMv, &format!("seed={seed}"));
     drop(c);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -296,9 +332,10 @@ fn same_seed_reproduces_byte_identical_trace() {
     }
     assert!(!traces[0].is_empty());
     assert_eq!(traces[0], traces[1], "seed {seed} did not reproduce");
-    // The trace names every link of the mesh at least once.
+    // The trace names every link of the mesh at least once (an origin
+    // applies its own submissions, so there are no self-links).
     for from in 0..N {
-        for to in 0..N {
+        for to in (0..N).filter(|&to| to != from) {
             assert!(
                 traces[0].contains(&format!("{from}->{to} ")),
                 "link {from}->{to} missing from trace"
@@ -349,6 +386,7 @@ fn crashed_site_recovers_journalled_state_alone() {
         "journal replay lost acknowledged state"
     );
     assert!(c.converged());
+    assert_certified(&c, RtMethod::Commu, &format!("seed={seed}"));
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -262,6 +262,11 @@ fn quiesce_timeout_reports_per_site_queue_depths() {
         .quiesce_within(std::time::Duration::from_millis(300))
         .expect_err("a cluster with a dead site cannot quiesce");
     assert_eq!(err.site_queues.len(), 3, "one queue-depth slot per site");
+    assert_eq!(
+        err.coordinator,
+        Some(SiteId(0)),
+        "site 0 coordinates the thread runtime and is up"
+    );
     let msg = err.to_string();
     assert!(
         msg.contains("per-site queue depths"),
