@@ -528,19 +528,14 @@ fn reap_link(l: &mut LinkConn, scratch: &mut [u8]) -> bool {
     if rbuf.drain_envelopes(&mut envs, usize::MAX).is_err() {
         return false;
     }
-    let mut acked = 0u64;
-    {
-        let mut q = lock_queue(&l.spec.queue);
-        for env in &envs {
-            if let Some(ids) = env.ack_ids() {
-                for id in ids {
-                    if q.ack(EntryId(id)) {
-                        acked += 1;
-                    }
-                }
-            }
-        }
-    }
+    // Every ack this cycle read retires in one queue write.
+    let ids: Vec<EntryId> = envs
+        .iter()
+        .filter_map(|env| env.ack_ids())
+        .flatten()
+        .map(EntryId)
+        .collect();
+    let acked = lock_queue(&l.spec.queue).ack_batch(&ids) as u64;
     if acked > 0 {
         l.spec.obs.acked(acked);
     }

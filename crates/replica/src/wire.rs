@@ -188,8 +188,8 @@ pub(crate) fn encode_value(b: &mut BytesMut, v: &Value) {
 ///
 /// Decoding walks a plain slice cursor over the payload — no refcounted
 /// sub-buffers, and embedded text costs exactly one `String` allocation.
-pub fn decode_mset(payload: &Bytes) -> Result<MSet, WireError> {
-    let mut b = payload.as_ref();
+pub fn decode_mset(payload: &[u8]) -> Result<MSet, WireError> {
+    let mut b = payload;
     decode_mset_from(&mut b)
 }
 

@@ -15,14 +15,18 @@
 //!    newest snapshot through `SnapshotRequest`/`SnapshotChunk`, then
 //!    converges on subsequent traffic. Trace-certified.
 //! 3. **Byte policy** — with `--ckpt-bytes` set low, sustained traffic
-//!    makes the daemons cut checkpoints and truncate on their own.
+//!    makes the daemons cut checkpoints and truncate on their own; under
+//!    load across several cuts the cluster keeps its one view and one
+//!    coordinator, and every journal shrinks to its live suffix.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use esr::core::{ObjectId, ObjectOp, Operation, SiteId};
+use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId};
+use esr::replica::mset::MSet;
 use esr::replica::span::Event;
-use esr::runtime::{ProcCluster, RtMethod, SPAN_QUERY_ALL};
+use esr::runtime::{ProcCluster, RpcClient, RtMethod, SPAN_QUERY_ALL};
+use esr::storage::stable_queue::{Record, RecordReader, COMPACT_DEAD_BYTES};
 use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
@@ -238,6 +242,135 @@ fn byte_policy_cuts_and_truncates_on_its_own() {
     let status = c.status_of(SiteId(0)).expect("status");
     assert!(status.ckpt_seq >= 2, "policy should have installed a chain");
     assert!(c.converged().expect("converged"));
+
+    certify_cluster(&c);
+    c.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shape of a journal file: whether it opens with a NEXT_ID pin,
+/// how many ack records it holds, and the ids of its enqueue records.
+fn journal_layout(path: &std::path::Path) -> (bool, usize, Vec<u64>) {
+    let mut reader = RecordReader::open_at(path, 0).expect("open journal");
+    let mut pinned = false;
+    let mut acks = 0;
+    let mut ids = Vec::new();
+    let mut first = true;
+    while let Some(record) = reader.next_record().expect("read journal") {
+        match record {
+            Record::NextId { .. } => pinned |= first,
+            Record::Ack { .. } => acks += 1,
+            Record::Enqueue { id, .. } => ids.push(id),
+        }
+        first = false;
+    }
+    (pinned, acks, ids)
+}
+
+#[test]
+fn byte_policy_under_sustained_load_keeps_one_view_and_compacts_journals() {
+    // Regression: with a byte policy under sustained submits, retiring
+    // a cut's prefix took one write per entry plus repeated rewrites of
+    // the live set, under the journal lock every apply takes. The
+    // stalled cores missed heartbeats, the peers elected new views, and
+    // the cluster never settled. Retirement is now one pass with at
+    // most one compaction. The policy interval is twice the compaction
+    // threshold, so every retirement compacts and each journal ends as
+    // a pin plus its live suffix.
+    let dir = fresh_dir("sustained");
+    let mut c = ProcCluster::spawn_with_ckpt(
+        esrd(),
+        &dir,
+        RtMethod::Commu,
+        N,
+        Some(2 * COMPACT_DEAD_BYTES),
+    )
+    .expect("spawn");
+
+    // Two clients, at sites 0 and 1, submit until every site has cut
+    // at least three checkpoints.
+    let mut clients: Vec<RpcClient> = (0..2)
+        .map(|s| c.client(SiteId(s)).expect("client"))
+        .collect();
+    let mut et = 1u64 << 32;
+    let deadline = Instant::now() + Duration::from_secs(180);
+    loop {
+        for _ in 0..250 {
+            for (origin, client) in clients.iter_mut().enumerate() {
+                et += 1;
+                let mset = MSet::new(
+                    EtId(et),
+                    SiteId(origin as u64),
+                    vec![
+                        ObjectOp::new(X, Operation::Incr(1)),
+                        ObjectOp::new(Y, Operation::Incr(2)),
+                    ],
+                );
+                client
+                    .submit(mset)
+                    .unwrap_or_else(|e| panic!("submit et {et} failed: {e}"));
+            }
+        }
+        let cuts: Vec<u64> = (0..N)
+            .map(|s| c.status_of(SiteId(s as u64)).expect("status").ckpt_seq)
+            .collect();
+        if cuts.iter().all(|&seq| seq >= 3) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "policy never cut three times per site: {cuts:?}"
+        );
+    }
+    drop(clients);
+    c.quiesce_within(QUIESCE)
+        .expect("quiesce after sustained load");
+
+    let statuses: Vec<_> = (0..N)
+        .map(|s| c.status_of(SiteId(s as u64)).expect("status"))
+        .collect();
+    for (s, st) in statuses.iter().enumerate() {
+        assert_eq!(st.view, 0, "site {s} left view 0: {statuses:?}");
+    }
+    assert_eq!(
+        statuses.iter().filter(|st| st.coordinator).count(),
+        1,
+        "exactly one coordinator: {statuses:?}"
+    );
+    assert!(c.converged().expect("converged"));
+
+    // Installs (and the retirements they trigger) land on the writer
+    // thread; poll until each journal is a pin plus contiguous live
+    // records whose count and size the daemon reports.
+    for s in 0..N {
+        let path = dir.join(format!("site-{s}.journal"));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let (pinned, acks, ids) = journal_layout(&path);
+            let contiguous = ids.windows(2).all(|w| w[1] == w[0] + 1);
+            let text = c.metrics_of(SiteId(s as u64)).expect("metrics");
+            let label = format!("{{site=\"{s}\"}}");
+            let live = metric(&text, &format!("esr_journal_live_entries{label}"));
+            let bytes = metric(&text, &format!("esr_journal_bytes{label}"));
+            let file = std::fs::metadata(&path).expect("stat journal").len();
+            if pinned
+                && acks == 0
+                && contiguous
+                && live == Some(ids.len() as i64)
+                && bytes == Some(file as i64)
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "site {s} journal is not pin + live suffix: pinned={pinned} acks={acks} \
+                 records={} contiguous={contiguous} live gauge={live:?} \
+                 bytes gauge={bytes:?} file={file}",
+                ids.len()
+            );
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    }
 
     certify_cluster(&c);
     c.shutdown();

@@ -23,6 +23,7 @@ use esr::runtime::recovery::ApplyJournal;
 use esr::runtime::state::{RtMethod, SiteState};
 use esr::runtime::{decode_payload, encode_payload};
 use esr::storage::snapshot;
+use esr::storage::stable_queue::{compaction_tmp, Record, COMPACT_DEAD_BYTES};
 
 const METHODS: [RtMethod; 5] = [
     RtMethod::Ordup,
@@ -42,7 +43,12 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// peer sites, with dense timestamps for the RITU family and global
 /// sequence numbers for ORDUP.
 fn workload(method: RtMethod) -> Vec<MSet> {
-    (0..6u64)
+    workload_n(method, 6)
+}
+
+/// [`workload`] stretched to `n` updates.
+fn workload_n(method: RtMethod, n: u64) -> Vec<MSet> {
+    (0..n)
         .map(|i| {
             let et = EtId(i + 1);
             let origin = SiteId(1 + i % 2);
@@ -359,4 +365,123 @@ fn truncation_ack_crash_at_every_offset_keeps_recovery_exact() {
         std::fs::remove_file(&torn).ok();
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The checkpoint payload a core that applied `msets[..=cut]` cuts
+/// with journal high-water mark `cut`.
+fn cut_payload(method: RtMethod, msets: &[MSet], cut: u64) -> Vec<u8> {
+    let mut donor = driven(method, msets, cut as usize + 1);
+    let payload = donor
+        .step(NodeEvent::Checkpoint { through: Some(cut) })
+        .into_iter()
+        .find_map(|e| match e {
+            Effect::Checkpoint(p) => Some(*p),
+            _ => None,
+        })
+        .unwrap();
+    encode_payload(&payload).to_vec()
+}
+
+/// Reopens the journal at `path` and boots from the snapshot `payload`
+/// plus the journal suffix past its cut, the daemon's restore path.
+fn restore_from(method: RtMethod, path: &std::path::Path, payload: &[u8]) -> (NodeCore, Vec<u64>) {
+    let j = ApplyJournal::open(path).unwrap();
+    let p = decode_payload(payload).unwrap();
+    let suffix: Vec<(u64, MSet)> = j
+        .replay_entries()
+        .into_iter()
+        .filter(|(id, _)| p.covered_through.is_none_or(|c| *id > c))
+        .collect();
+    let ids = suffix.iter().map(|(id, _)| *id).collect();
+    let msets = suffix.into_iter().map(|(_, m)| m).collect();
+    let (core, _) = NodeCore::restore(method, SiteId(1), 3, None, 0, p, msets).unwrap();
+    (core, ids)
+}
+
+#[test]
+fn compaction_crash_at_every_tmp_offset_and_after_rename_keeps_restore_exact() {
+    // Retirement past the dead-byte threshold appends its acks, then
+    // writes the pin and the live suffix to a tmp file and renames it
+    // over the journal. A crash can land on any byte of that tmp file
+    // (the journal is then the full log plus the acks) or just after
+    // the rename (the journal is the compacted file). Every case must
+    // reopen — dropping the half-written tmp — and restore exactly.
+    const TAIL: u64 = 4;
+    for method in METHODS {
+        // Enough records that the covered prefix crosses the threshold.
+        let n = COMPACT_DEAD_BYTES / 30;
+        let msets = workload_n(method, n);
+        let cut = n - TAIL - 1;
+        let reference = driven(method, &msets, msets.len());
+        let payload = cut_payload(method, &msets, cut);
+
+        let path = tmp(&format!("compact-{method:?}.q"));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = ApplyJournal::open(&path).unwrap();
+            for m in &msets {
+                j.record(m);
+            }
+        }
+        // The journal as the crash finds it before the rename: every
+        // record, then one ack per retired entry.
+        let mut before_rename = std::fs::read(&path).unwrap();
+        for id in 0..=cut {
+            Record::Ack { id }.encode_into(&mut before_rename);
+        }
+        {
+            let mut j = ApplyJournal::open(&path).unwrap();
+            assert_eq!(j.retire_through(cut), cut + 1);
+        }
+        let compacted = std::fs::read(&path).unwrap();
+        assert!(
+            compacted.len() * 100 < before_rename.len(),
+            "{method:?}: retirement past the threshold must compact \
+             ({} -> {} bytes)",
+            before_rename.len(),
+            compacted.len()
+        );
+        assert!(
+            !compaction_tmp(&path).exists(),
+            "{method:?}: tmp file left behind"
+        );
+        let live: Vec<u64> = (cut + 1..n).collect();
+
+        let torn = tmp(&format!("compact-{method:?}-torn.q"));
+        for at in 0..=compacted.len() {
+            std::fs::write(&torn, &before_rename).unwrap();
+            std::fs::write(compaction_tmp(&torn), &compacted[..at]).unwrap();
+            let (recovered, ids) = restore_from(method, &torn, &payload);
+            assert!(
+                !compaction_tmp(&torn).exists(),
+                "{method:?} tmp cut at {at}: reopen must drop the half-written tmp"
+            );
+            assert_eq!(ids, live, "{method:?} tmp cut at {at}: wrong suffix");
+            assert_eq!(
+                recovered.state.snapshot(),
+                reference.state.snapshot(),
+                "{method:?} tmp cut at {at}: restore diverged"
+            );
+        }
+
+        // After the rename: the compacted journal restores exactly and
+        // keeps journalling under fresh ids.
+        std::fs::write(&torn, &compacted).unwrap();
+        let (recovered, ids) = restore_from(method, &torn, &payload);
+        assert_eq!(ids, live, "{method:?} after rename: wrong suffix");
+        assert_eq!(
+            recovered.state.snapshot(),
+            reference.state.snapshot(),
+            "{method:?} after rename: restore diverged"
+        );
+        {
+            let mut j = ApplyJournal::open(&torn).unwrap();
+            assert_eq!(j.last_id(), Some(n - 1));
+            j.record(&msets[0]);
+        }
+        let j = ApplyJournal::open(&torn).unwrap();
+        assert_eq!(j.replay_entries().last().map(|(id, _)| *id), Some(n));
+        std::fs::remove_file(&torn).ok();
+        std::fs::remove_file(&path).ok();
+    }
 }
